@@ -28,9 +28,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .graphs import SimpleGraph, bits_to_list, edge_pairs
-from .monoscan import EdgeColoring, NimReport, is_h_free, nim_edges
+from .monoscan import EdgeColoring, NimReport, contains_copy, is_h_free, nim_edges
 from .patterns import BipartitePattern, detect_biclique
-from .turan import TuranCache, _has_oriented_copy, ex_exact, ex_star_exact
+from .turan import TuranCache, _oriented_allowed, ex_exact, ex_star_exact
 
 __all__ = [
     "StarDecomposition",
@@ -125,21 +125,13 @@ def build_star_decomposition(
     if report is None:
         report = nim_edges(coloring, pattern)
     n, k, h = coloring.n, coloring.k, pattern.h
-    pairs = edge_pairs(n)
-
-    nim_adj = [[0] * n for _ in range(k + 1)]
-    for idx, flagged in enumerate(report.flags):
-        if flagged:
-            u, v = pairs[idx]
-            c = report.colors[idx]
-            nim_adj[c][u] |= 1 << v
-            nim_adj[c][v] |= 1 << u
 
     centers = []
     leaf_sets = []
     branches = []
     for c in range(1, k + 1):
-        incident = [v for v in range(n) if nim_adj[c][v]]
+        nim = report.color_class_nim_graph(c).adj
+        incident = [v for v in range(n) if nim[v]]
         if not incident:
             raise NotApplicableError(
                 "no NIM edge of color i",
@@ -149,7 +141,7 @@ def build_star_decomposition(
         big = [v for v in incident if rows[v].bit_count() >= h]
         if big:
             x = min(big)
-            partner = bits_to_list(nim_adj[c][x])[0]
+            partner = bits_to_list(nim[x])[0]
             leaves = [partner]
             for y in bits_to_list(rows[x]):
                 if len(leaves) == h:
@@ -161,7 +153,7 @@ def build_star_decomposition(
             x = max(incident, key=lambda v: (rows[v].bit_count(), -v))
             leaves = bits_to_list(rows[x])
             branch = "max-degree"
-        assert nim_adj[c][x] & sum(1 << y for y in leaves)
+        assert nim[x] & sum(1 << y for y in leaves)
         centers.append(x)
         leaf_sets.append(tuple(sorted(leaves)))
         branches.append(branch)
@@ -296,10 +288,10 @@ def _exact_ex(n: int, pat: BipartitePattern, cache: Optional[TuranCache]) -> int
 def _bucket_nim_edges(dec: StarDecomposition, report: NimReport):
     """Sort NIM edges by where their endpoints fall.
 
-    Returns (inside, cross, touching): inside[class][color] and
+    Returns (inside, cross): inside[class][color] and
     cross[(classA, classB)][color] hold vertex pairs (cross pairs ordered
-    classA then classB with classA < classB); touching holds edges with
-    an endpoint in S.
+    classA then classB with classA < classB); edges with an endpoint in S
+    are left out.
     """
     n = dec.n
     pairs = edge_pairs(n)
@@ -310,14 +302,12 @@ def _bucket_nim_edges(dec: StarDecomposition, report: NimReport):
     in_s = set(dec.s_vertices)
     inside: dict[int, dict[int, list]] = {}
     cross: dict[tuple[int, int], dict[int, list]] = {}
-    touching = []
     for idx, flagged in enumerate(report.flags):
         if not flagged:
             continue
         u, v = pairs[idx]
         c = report.colors[idx]
         if u in in_s or v in in_s:
-            touching.append((u, v, c))
             continue
         cu, cv = where[u], where[v]
         if cu == cv:
@@ -326,39 +316,43 @@ def _bucket_nim_edges(dec: StarDecomposition, report: NimReport):
             if cu > cv:
                 cu, cv, u, v = cv, cu, v, u
             cross.setdefault((cu, cv), {}).setdefault(c, []).append((u, v))
-    return inside, cross, touching
+    return inside, cross
 
 
 def _graph_on(members: tuple[int, ...], edges: list) -> SimpleGraph:
+    """The edges as a graph whose vertex i is members[i]."""
     pos = {z: i for i, z in enumerate(members)}
-    rows = [0] * len(members)
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return SimpleGraph(len(members), tuple(rows))
+    return SimpleGraph.from_edges(len(members), [(pos[u], pos[v]) for u, v in edges])
 
 
-def _union_graph(mu: tuple[int, ...], mv: tuple[int, ...], edges: list) -> SimpleGraph:
-    pos = {z: i for i, z in enumerate(mu)}
-    off = len(mu)
-    for i, z in enumerate(mv):
-        pos[z] = off + i
-    rows = [0] * (len(mu) + len(mv))
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return SimpleGraph(len(rows), tuple(rows))
-
-
-def _cross_rows(mu: tuple[int, ...], mv: tuple[int, ...], edges: list) -> list[int]:
-    """Neighborhood masks of the mu side over mv, for oriented scans."""
-    pu = {z: i for i, z in enumerate(mu)}
-    pv = {z: i for i, z in enumerate(mv)}
-    rows = [0] * len(mu)
-    for u, v in edges:
-        rows[pu[u]] |= 1 << pv[v]
+def _two_color_rows(tag: str, key: str, where: str, members: tuple[int, ...],
+                    by_color: dict, rp: BipartitePattern, ex_n: int,
+                    cache: Optional[TuranCache]) -> list[AuditRow]:
+    """C2/C3 rows for one vertex set: per color the NIM edges on `members`
+    are (H-w)-free and at most ex(|members|, H-w); both colors together
+    stay within twice that and within twice ex(n, H-w)."""
+    ex_local = _exact_ex(len(members), rp, cache)
+    rows = []
+    total = 0
+    for c in (1, 2):
+        edges = by_color.get(c, [])
+        free = is_h_free(_graph_on(members, edges), rp)
+        rows.append(AuditRow(
+            f"{tag}.free[{key},color={c}]", int(not free), 0,
+            free, f"reduced pattern absent {where}",
+        ))
+        rows.append(AuditRow(
+            f"{tag}.count[{key},color={c}]", len(edges), ex_local,
+            len(edges) <= ex_local, "",
+        ))
+        total += len(edges)
+    rows.append(AuditRow(
+        f"{tag}.total[{key}]", total, 2 * ex_local, total <= 2 * ex_local, "",
+    ))
+    rows.append(AuditRow(
+        f"{tag}.literal[{key}]", total, 2 * ex_n, total <= 2 * ex_n,
+        "n-level bound",
+    ))
     return rows
 
 
@@ -429,65 +423,27 @@ def audit_two_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
             "constant class stays below h",
         ))
 
-    inside, cross, _ = _bucket_nim_edges(dec, report)
+    inside, cross = _bucket_nim_edges(dec, report)
     mixed = [ci for ci, (vec, _) in enumerate(dec.classes)
              if len(set(vec)) >= 2]
 
     for ci in mixed:
         vec, members = dec.classes[ci]
-        vs = _fmt_vec(vec)
-        ex_local = _exact_ex(len(members), rp, cache)
-        total = 0
-        for c in (1, 2):
-            edges = inside.get(ci, {}).get(c, [])
-            g = _graph_on(members, edges)
-            free = is_h_free(g, rp)
-            rows.append(AuditRow(
-                f"C2.free[v={vs},color={c}]", int(not free), 0,
-                free, "reduced pattern absent inside the class",
-            ))
-            rows.append(AuditRow(
-                f"C2.count[v={vs},color={c}]", len(edges), ex_local,
-                len(edges) <= ex_local, "",
-            ))
-            total += len(edges)
-        rows.append(AuditRow(
-            f"C2.total[v={vs}]", total, 2 * ex_local, total <= 2 * ex_local, "",
-        ))
-        rows.append(AuditRow(
-            f"C2.literal[v={vs}]", total, 2 * ex_n, total <= 2 * ex_n,
-            "n-level bound",
-        ))
+        rows += _two_color_rows(
+            "C2", f"v={_fmt_vec(vec)}", "inside the class", members,
+            inside.get(ci, {}), rp, ex_n, cache,
+        )
 
     for a in range(len(mixed)):
         for b in range(a + 1, len(mixed)):
             cu, cv = mixed[a], mixed[b]
             uvec, mu = dec.classes[cu]
             vvec, mv = dec.classes[cv]
-            us, vs = _fmt_vec(uvec), _fmt_vec(vvec)
-            ex_local = _exact_ex(len(mu) + len(mv), rp, cache)
-            total = 0
-            for c in (1, 2):
-                edges = cross.get((cu, cv), {}).get(c, [])
-                g = _union_graph(mu, mv, edges)
-                free = is_h_free(g, rp)
-                rows.append(AuditRow(
-                    f"C3.free[u={us},v={vs},color={c}]", int(not free), 0,
-                    free, "reduced pattern absent between the classes",
-                ))
-                rows.append(AuditRow(
-                    f"C3.count[u={us},v={vs},color={c}]", len(edges), ex_local,
-                    len(edges) <= ex_local, "",
-                ))
-                total += len(edges)
-            rows.append(AuditRow(
-                f"C3.total[u={us},v={vs}]", total, 2 * ex_local,
-                total <= 2 * ex_local, "",
-            ))
-            rows.append(AuditRow(
-                f"C3.literal[u={us},v={vs}]", total, 2 * ex_n,
-                total <= 2 * ex_n, "n-level bound",
-            ))
+            rows += _two_color_rows(
+                "C3", f"u={_fmt_vec(uvec)},v={_fmt_vec(vvec)}",
+                "between the classes", mu + mv, cross.get((cu, cv), {}),
+                rp, ex_n, cache,
+            )
 
     classes_cap = 2 ** (2 * h + 2)
     total_bound = (t + 2 * h) * n + classes_cap * 2 * ex_n \
@@ -544,7 +500,7 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
             "constant class stays below h",
         ))
 
-    inside, cross, _ = _bucket_nim_edges(dec, report)
+    inside, cross = _bucket_nim_edges(dec, report)
     feas = [set(vec) for vec, _ in dec.classes]
 
     for ci, (vec, members) in enumerate(dec.classes):
@@ -579,8 +535,9 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
                 if c in feas[cv]:
                     # completion sits on the mv side: forbid reduced
                     # copies with the deleted vertex's side inside mu
-                    has = _has_oriented_copy(
-                        len(mu), len(mv), _cross_rows(mu, mv, edges), rp
+                    has = contains_copy(
+                        _graph_on(mu + mv, edges), rp,
+                        allowed=_oriented_allowed(len(mu), len(mv), rp),
                     )
                     rows.append(AuditRow(
                         f"A3.free[u={us},v={vs},i={c},X-side=u]",
@@ -590,9 +547,9 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
                         ex_star_exact(len(mu), len(mv), rp, cache=cache).value
                     )
                 if c in feas[cu]:
-                    flipped = [(y, x) for x, y in edges]
-                    has = _has_oriented_copy(
-                        len(mv), len(mu), _cross_rows(mv, mu, flipped), rp
+                    has = contains_copy(
+                        _graph_on(mv + mu, edges), rp,
+                        allowed=_oriented_allowed(len(mv), len(mu), rp),
                     )
                     rows.append(AuditRow(
                         f"A3.free[u={us},v={vs},i={c},X-side=v]",
@@ -664,13 +621,6 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
 
     n_star = sum(len(v) for v in leftover.values())
     nstar_bound = 0
-    nim_rows = [[0] * n for _ in range(k + 1)]
-    for idx, flagged in enumerate(report.flags):
-        if flagged:
-            u, v = pairs[idx]
-            c = report.colors[idx]
-            nim_rows[c][u] |= 1 << v
-            nim_rows[c][v] |= 1 << u
     for c in range(1, k + 1):
         bi = b_sets[c - 1]
         out_of_place = sum(
@@ -681,15 +631,7 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
             "typed leftover edges stay inside B_i",
         ))
         ordered = tuple(sorted(bi))
-        bpos = {z: j for j, z in enumerate(ordered)}
-        g_rows = [0] * len(ordered)
-        for z in ordered:
-            inner = nim_rows[c][z]
-            for w in bits_to_list(inner):
-                if w in bpos:
-                    g_rows[bpos[z]] |= 1 << bpos[w]
-        g = SimpleGraph(len(ordered), tuple(g_rows))
-        free = is_h_free(g, pattern)
+        free = is_h_free(report.color_class_nim_graph(c).induced(ordered), pattern)
         rows.append(AuditRow(
             f"B.free[i={c}]", int(not free), 0, free,
             "NIM edges of one color inside B_i avoid the full pattern",
@@ -749,9 +691,10 @@ def kst_reducibility(s: int, t: int) -> KstVerdict:
     """Sufficient condition for complete bipartite patterns.
 
     K_{s,t} is reducible whenever t exceeds min(s^2-3s+3, (s-1)!); below
-    that the verdict is unknown, never negative.  The special pairs (3,3)
-    and (4,7) already satisfy the rule, so the dedicated verdict for them
-    is unreachable and kept only as a guard.
+    that the verdict is unknown, never negative.  The paper's special
+    pairs (3,3) and (4,7) need no verdict of their own: for s = 3 and
+    s = 4 the smaller term is (s-1)! = 2 and 6, so both pairs pass the
+    rule.
     """
     if s < 1 or t < s:
         raise InvalidInputError("invalid-pair", f"(s,t)=({s},{t}) needs 1 <= s <= t")
@@ -761,8 +704,6 @@ def kst_reducibility(s: int, t: int) -> KstVerdict:
             s, t, "reducible-by-rule", threshold,
             f"t={t} > min(s^2-3s+3, (s-1)!) = {threshold}",
         )
-    if (s, t) in {(3, 3), (4, 7)}:
-        return KstVerdict(s, t, "special-pair", threshold, "listed pair")
     return KstVerdict(
         s, t, "unknown", threshold,
         f"t={t} <= {threshold}; the rule is sufficient only",
@@ -783,25 +724,6 @@ class ReducibilityReport:
         }
 
 
-def _is_tree(g: SimpleGraph) -> bool:
-    if g.n == 0:
-        return False
-    if g.num_edges != g.n - 1:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << g.n) - 1
-
-
 def is_reducible(pattern: BipartitePattern) -> ReducibilityReport:
     """Whether the pattern is known to admit the weak-vertex reduction.
 
@@ -814,7 +736,8 @@ def is_reducible(pattern: BipartitePattern) -> ReducibilityReport:
     g = pattern.graph
     if pattern.contains_cycle():
         for w in range(g.n):
-            if _is_tree(g.delete_vertex(w)):
+            rest = g.delete_vertex(w)
+            if rest.num_edges == rest.n - 1 and rest.component_count() == 1:
                 return ReducibilityReport(
                     pattern.name, "reducible",
                     f"contains a cycle and deleting vertex {w} leaves a tree",

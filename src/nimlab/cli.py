@@ -301,18 +301,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         doc = args.handler(args)
-    except InvalidInputError as exc:
-        print(json.dumps({"error": exc.reason, "detail": exc.detail}, sort_keys=True))
-        return 3
-    except NotApplicableError as exc:
-        print(json.dumps({"error": exc.reason, "detail": exc.detail}, sort_keys=True))
-        return 1
-    except RefusalError as exc:
-        print(json.dumps({"error": exc.reason, "detail": exc.detail}, sort_keys=True))
-        return 2
     except NimlabError as exc:
         print(json.dumps({"error": exc.reason, "detail": exc.detail}, sort_keys=True))
-        return 2
+        if isinstance(exc, InvalidInputError):
+            return 3
+        return 1 if isinstance(exc, NotApplicableError) else 2
     _emit(doc, args)
     return 0
 

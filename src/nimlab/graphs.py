@@ -99,14 +99,24 @@ class SimpleGraph:
                 fwd >>= 1
                 v += 1
 
-    def neighbors(self, v: int):
-        return bits_to_list(self.adj[v])
-
-    def with_edge(self, u: int, v: int) -> "SimpleGraph":
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return SimpleGraph(self.n, tuple(rows))
+    def component_count(self) -> int:
+        """Number of connected components; 0 for the graph on no vertices."""
+        unseen = (1 << self.n) - 1
+        comps = 0
+        while unseen:
+            comps += 1
+            seen = frontier = unseen & -unseen
+            while frontier:
+                nxt = 0
+                m = frontier
+                while m:
+                    v = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    nxt |= self.adj[v]
+                frontier = nxt & ~seen
+                seen |= nxt
+            unseen &= ~seen
+        return comps
 
     def add_vertex(self, nbr_mask: int) -> "SimpleGraph":
         """New graph with vertex n appended, adjacent to the mask's bits."""
@@ -149,10 +159,6 @@ class SimpleGraph:
                 row &= row - 1
             rows[perm[u]] = new
         return SimpleGraph(self.n, tuple(rows))
-
-    def edge_index_set(self) -> frozenset[int]:
-        n = self.n
-        return frozenset(edge_index(n, u, v) for u, v in self.edges())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimpleGraph) and self.n == other.n and self.adj == other.adj

@@ -214,13 +214,6 @@ def mono_copy_exists(coloring: EdgeColoring, pattern: BipartitePattern,
     return bool(_copy_through(coloring.class_adj(c), pattern, u, v))
 
 
-def find_mono_copy(coloring: EdgeColoring, pattern: BipartitePattern,
-                   u: int, v: int) -> Optional[tuple[int, ...]]:
-    c = coloring.color_of(u, v)
-    out = _copy_through(coloring.class_adj(c), pattern, u, v, want_map=True)
-    return out
-
-
 @dataclass(frozen=True)
 class NimReport:
     """NIM status of every edge of a colored K_n for one pattern."""
@@ -263,23 +256,35 @@ class NimReport:
         }
 
 
-def nim_edges(coloring: EdgeColoring, pattern: BipartitePattern) -> NimReport:
-    """Scan every edge; edges found inside a copy are skipped on revisit."""
-    n = coloring.n
-    pairs = edge_pairs(n)
-    flags = [False] * len(pairs)
-    covered = bytearray(len(pairs))
+def _graph_nim(g: SimpleGraph, pattern: BipartitePattern) -> list[tuple[int, int]]:
+    """Edges of g that no pattern copy inside g passes through.
+
+    Edges of a found copy are remembered so later scans skip them; an
+    edge covered by some copy can never be NIM.
+    """
+    covered = set()
     pedges = list(pattern.graph.edges())
-    for idx, (u, v) in enumerate(pairs):
-        if covered[idx]:
+    out = []
+    for u, v in g.edges():
+        if (u, v) in covered:
             continue
-        c = coloring.colors[idx]
-        image = _copy_through(coloring.class_adj(c), pattern, u, v, want_map=True)
-        if image is None:
-            flags[idx] = True
+        img = _copy_through(g.adj, pattern, u, v, want_map=True)
+        if img is None:
+            out.append((u, v))
         else:
             for a, b in pedges:
-                covered[edge_index(n, image[a], image[b])] = 1
+                x, y = img[a], img[b]
+                covered.add((x, y) if x < y else (y, x))
+    return out
+
+
+def nim_edges(coloring: EdgeColoring, pattern: BipartitePattern) -> NimReport:
+    """Scan each color class once; a copy of H through an edge lies in its class."""
+    n = coloring.n
+    flags = [False] * (n * (n - 1) // 2)
+    for c in range(1, coloring.k + 1):
+        for u, v in _graph_nim(coloring.class_graph(c), pattern):
+            flags[edge_index(n, u, v)] = True
     return NimReport(n, coloring.k, pattern.name, tuple(flags), tuple(coloring.colors))
 
 

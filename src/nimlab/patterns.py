@@ -8,7 +8,6 @@ bipartite graphs, theta graphs, plus custom descriptors.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from functools import cached_property
@@ -98,46 +97,11 @@ class BipartitePattern:
         return self.graph.num_edges
 
     def is_connected(self) -> bool:
-        g = self.graph
-        if g.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << g.n) - 1
+        return self.graph.component_count() <= 1
 
     def contains_cycle(self) -> bool:
-        comps = self._component_count()
-        return self.graph.num_edges > self.graph.n - comps
-
-    def _component_count(self) -> int:
         g = self.graph
-        unseen = (1 << g.n) - 1
-        comps = 0
-        while unseen:
-            comps += 1
-            seed = unseen & -unseen
-            seen = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    nxt |= g.adj[v]
-                frontier = nxt & ~seen
-                seen |= nxt
-            unseen &= ~seen
-        return comps
+        return g.num_edges > g.n - g.component_count()
 
     def reduced(self) -> "BipartitePattern":
         """The pattern minus its weak vertex, sides relabeled accordingly."""
@@ -215,15 +179,6 @@ class BipartitePattern:
     def free_plan(self) -> PinPlan:
         root = max(range(self.graph.n), key=lambda v: (self.graph.degree(v), -v))
         return _plan(self.graph, (root,))
-
-    def side_mask(self) -> tuple[int, int]:
-        """(xmask, ymask) over pattern vertices; zeros if not bipartite."""
-        xm = ym = 0
-        for v in self.X:
-            xm |= 1 << v
-        for v in self.Y:
-            ym |= 1 << v
-        return xm, ym
 
     def __repr__(self):
         return f"BipartitePattern({self.name}, h={self.h}, m={self.num_edges})"

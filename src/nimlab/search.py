@@ -18,8 +18,8 @@ from typing import Optional
 
 from .canon import canonical_code, enumerate_graphs
 from .errors import InvalidInputError, RefusalError, ResourceLimitError
-from .graphs import SimpleGraph, edge_index, edge_pairs
-from .monoscan import EdgeColoring, _copy_through
+from .graphs import edge_index, edge_pairs
+from .monoscan import EdgeColoring, _graph_nim
 from .patterns import BipartitePattern
 from .turan import TuranCache, _greedy_lower_bound, ex_exact
 from .constructions import (
@@ -42,31 +42,8 @@ __all__ = [
 EXACT_CEILINGS = {2: 9, 3: 5}
 
 
-def _graph_nim(g: SimpleGraph, pattern: BipartitePattern) -> int:
-    """Edges of g that no pattern copy inside g passes through.
-
-    Edges of a found copy are remembered so later scans skip them; an
-    edge covered by some copy can never be counted.
-    """
-    rows = list(g.adj)
-    covered = set()
-    pedges = list(pattern.graph.edges())
-    nim = 0
-    for u, v in g.edges():
-        if (u, v) in covered:
-            continue
-        img = _copy_through(rows, pattern, u, v, want_map=True)
-        if img is None:
-            nim += 1
-        else:
-            for a, b in pedges:
-                x, y = img[a], img[b]
-                covered.add((x, y) if x < y else (y, x))
-    return nim
-
-
 def _class_counts(coloring: EdgeColoring, pattern: BipartitePattern) -> list[int]:
-    return [_graph_nim(coloring.class_graph(c), pattern)
+    return [len(_graph_nim(coloring.class_graph(c), pattern))
             for c in range(1, coloring.k + 1)]
 
 
@@ -156,7 +133,7 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
         if comp.num_edges == g.num_edges and canonical_code(comp) < canonical_code(g):
             continue
         nodes += 1
-        score = _graph_nim(g, pattern) + _graph_nim(comp, pattern)
+        score = len(_graph_nim(g, pattern)) + len(_graph_nim(comp, pattern))
         if score > best:
             best = score
             optima = [EdgeColoring.from_graph(g, k=2)]
@@ -203,6 +180,15 @@ def _exact_three_color(n: int, pattern: BipartitePattern):
     return best, optima, nodes
 
 
+def _check_search_args(n: int, pattern: BipartitePattern, k: int) -> None:
+    if n < 1:
+        raise InvalidInputError("invalid-size", f"n={n}")
+    if k < 2:
+        raise InvalidInputError("invalid-color-count", f"k={k}, need k >= 2")
+    if pattern.num_edges == 0:
+        raise InvalidInputError("pattern-has-no-edges", pattern.name)
+
+
 def f_exact(n: int, pattern: BipartitePattern, k: int = 2, *,
             ceiling: Optional[int] = None) -> SearchReport:
     """True maximum over all k-colorings, with every optimum retained.
@@ -211,12 +197,7 @@ def f_exact(n: int, pattern: BipartitePattern, k: int = 2, *,
     ceiling (see EXACT_CEILINGS; `ceiling` overrides it at the caller's
     risk).  Anything larger is refused rather than approximated.
     """
-    if n < 1:
-        raise InvalidInputError("invalid-size", f"n={n}")
-    if k < 2:
-        raise InvalidInputError("invalid-color-count", f"k={k}, need k >= 2")
-    if pattern.num_edges == 0:
-        raise InvalidInputError("pattern-has-no-edges", pattern.name)
+    _check_search_args(n, pattern, k)
     limit = ceiling if ceiling is not None else EXACT_CEILINGS.get(k)
     if limit is None:
         raise ResourceLimitError(
@@ -285,14 +266,9 @@ def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
     color breaking ties; a sweep with no gain triggers a restart from the
     next seed.  Runs with the same arguments produce the same report.
     """
-    if n < 1:
-        raise InvalidInputError("invalid-size", f"n={n}")
-    if k < 2:
-        raise InvalidInputError("invalid-color-count", f"k={k}, need k >= 2")
+    _check_search_args(n, pattern, k)
     if budget < 1:
         raise InvalidInputError("invalid-budget", f"budget={budget}, need >= 1")
-    if pattern.num_edges == 0:
-        raise InvalidInputError("pattern-has-no-edges", pattern.name)
 
     pairs = edge_pairs(n)
     m = len(pairs)
@@ -321,8 +297,8 @@ def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
                     if evals >= budget:
                         break
                     cur.set_color(u, v, c)
-                    a = _graph_nim(cur.class_graph(old), pattern)
-                    b = _graph_nim(cur.class_graph(c), pattern)
+                    a = len(_graph_nim(cur.class_graph(old), pattern))
+                    b = len(_graph_nim(cur.class_graph(c), pattern))
                     cur.set_color(u, v, old)
                     evals += 1
                     gain = (a + b) - (counts[old - 1] + counts[c - 1])

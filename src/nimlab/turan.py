@@ -124,9 +124,7 @@ def _capped_degree_witness(n: int, d: int) -> SimpleGraph:
     half = d // 2
     for j in range(1, half + 1):
         for i in range(n):
-            u, v = i, (i + j) % n
-            if u < v:
-                edges.append((u, v))
+            edges.append((i, (i + j) % n))
     if d % 2:
         if n % 2 == 0:
             for i in range(n // 2):

@@ -16,7 +16,11 @@ from nimlab.audit import (
     is_reducible,
     kst_reducibility,
 )
-from nimlab.constructions import extremal_two_coloring, pentagon_three_coloring
+from nimlab.constructions import (
+    extremal_two_coloring,
+    pentagon_three_coloring,
+    permuted_overlay_coloring,
+)
 from nimlab.errors import InvalidInputError, NotApplicableError
 from nimlab.graphs import SimpleGraph
 from nimlab.monoscan import EdgeColoring, nim_edges
@@ -197,6 +201,37 @@ def test_two_color_row_structure(c4):
     assert total.bound == (t + 2 * h) * n + cap * 2 * ex_n + cap * cap * 2 * ex_n
 
 
+def test_two_color_c3_rows():
+    # three single-vertex mixed classes; one NIM edge of color 1 joins the
+    # first and the third, so the C3 graphs are built from real edges
+    k23 = build_pattern("k2,3")
+    col = EdgeColoring.random(10, 2, seed=6)
+    rep = audit_two_color(col, k23)
+    assert rep.passed
+    a, b, c = "1,2,1,2,2,1,1", "1,2,2,1,2,1,1", "2,2,1,1,2,1,1"
+    want = []
+    for u, v, counts in [(a, b, (0, 0)), (a, c, (1, 0)), (b, c, (0, 0))]:
+        key = f"u={u},v={v}"
+        for color, cnt in zip((1, 2), counts):
+            want.append((f"C3.free[{key},color={color}]", 0, 0))
+            want.append((f"C3.count[{key},color={color}]", cnt, 1))
+        want.append((f"C3.total[{key}]", sum(counts), 2))
+        want.append((f"C3.literal[{key}]", sum(counts), 20))
+    got = [(r.claim, r.measured, r.bound) for r in rep.rows if r.claim.startswith("C3")]
+    assert got == want
+
+    # the counts again, straight from the NIM report
+    report = nim_edges(col, k23)
+    classes = [set(members) for _, members in rep.decomposition.classes]
+    between = [
+        (col.color_of(x, y), i, j)
+        for x, y in report.edges()
+        for i in range(3) for j in range(i + 1, 3)
+        if {x, y} & classes[i] and {x, y} & classes[j]
+    ]
+    assert between == [(1, 0, 2)]
+
+
 def test_two_color_report_json_is_stable(c4):
     col, rep = _first_applicable_two(6, c4, range(20))
     again = audit_two_color(col, c4)
@@ -362,6 +397,14 @@ def test_k_color_literal_rows_use_one_sided_values(c4):
     lits = [r for r in rep.rows if r.claim.startswith("A3.literal")]
     for r in lits:
         assert r.bound == want
+
+
+def test_k_color_on_biclique_with_star_reduction(c4):
+    # K_{2,3} minus its weak vertex is the star K_{1,3}, so every class
+    # bound comes from the star closed form
+    col, _ = permuted_overlay_coloring(9, c4, 3, seed=0)
+    rep = audit_k_color(col, build_pattern("k2,3"))
+    assert rep.passed
 
 
 def test_pentagon_is_k_color_applicable(k3):

@@ -302,10 +302,12 @@ def test_pattern_from_file(capsys, tmp_path):
     assert doc["value"] == 7
 
 
-def test_explicit_cache_flag(capsys, tmp_path):
-    from nimlab.turan import clear_memo
+def test_explicit_cache_flag(capsys, tmp_path, monkeypatch):
+    import nimlab.turan
 
-    clear_memo()  # force a real computation so the result is persisted
+    # an empty memo forces a real computation, so the result is persisted;
+    # the records other tests built stay memoized
+    monkeypatch.setattr(nimlab.turan, "_MEMO", {})
     cache_path = tmp_path / "cache.jsonl"
     code, a = run_json(
         capsys, "--cache", str(cache_path), "ex", "--n", "7", "--pattern", "c4"

@@ -64,6 +64,20 @@ def test_half_n_for_single_center_star():
         assert ex_exact(n, p3).value == n // 2
 
 
+def test_star_formula_matches_enumeration():
+    # the closed form for r >= 3 needs the wrap-around edges of the
+    # circulant witness; below n = r + 1 the complete graph is extremal
+    for r in range(3, 6):
+        star = build_pattern(f"k1,{r}")
+        fp = star.graph_code.hex()
+        for n in range(1, 9):
+            rec = ex_exact(n, star)
+            assert rec.value == min(n * (n - 1) // 2, n * (r - 1) // 2), (r, n)
+            assert rec.value == _enum_ex(n, star, fp).value, (r, n)
+            w = rec.witness_graphs()[0]
+            assert w.num_edges == rec.value and is_h_free(w, star)
+
+
 def test_brute_force_agreement_tiny(k3, c4, k23):
     for pattern in (k3, c4, k23, build_pattern("c6")):
         for n in range(1, 6):
