@@ -532,31 +532,22 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
                 edges = cross.get((cu, cv), {}).get(c, [])
                 cnt = len(edges)
                 bounds = []
-                if c in feas[cv]:
-                    # completion sits on the mv side: forbid reduced
-                    # copies with the deleted vertex's side inside mu
+                # completion sits on the side whose vector shows color c:
+                # forbid reduced copies with the deleted vertex's side
+                # inside the other class
+                for side, xs, ys, owner in (("u", mu, mv, cv), ("v", mv, mu, cu)):
+                    if c not in feas[owner]:
+                        continue
                     has = contains_copy(
-                        _graph_on(mu + mv, edges), rp,
-                        allowed=_oriented_allowed(len(mu), len(mv), rp),
+                        _graph_on(xs + ys, edges), rp,
+                        allowed=_oriented_allowed(len(xs), len(ys), rp),
                     )
                     rows.append(AuditRow(
-                        f"A3.free[u={us},v={vs},i={c},X-side=u]",
+                        f"A3.free[u={us},v={vs},i={c},X-side={side}]",
                         int(has), 0, not has, "",
                     ))
                     bounds.append(
-                        ex_star_exact(len(mu), len(mv), rp, cache=cache).value
-                    )
-                if c in feas[cu]:
-                    has = contains_copy(
-                        _graph_on(mv + mu, edges), rp,
-                        allowed=_oriented_allowed(len(mv), len(mu), rp),
-                    )
-                    rows.append(AuditRow(
-                        f"A3.free[u={us},v={vs},i={c},X-side=v]",
-                        int(has), 0, not has, "",
-                    ))
-                    bounds.append(
-                        ex_star_exact(len(mv), len(mu), rp, cache=cache).value
+                        ex_star_exact(len(xs), len(ys), rp, cache=cache).value
                     )
                 bound = min(bounds)
                 rows.append(AuditRow(
@@ -575,40 +566,27 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
                     ))
 
     # -- edge typing and the B_i charge ------------------------------------
-    constant = [ci for ci, colors in enumerate(feas) if len(colors) == 1]
-    constant_vertices = set()
-    for ci in constant:
-        constant_vertices.update(dec.classes[ci][1])
-    in_s = set(dec.s_vertices)
-    pairs = edge_pairs(n)
-    where = {}
-    for ci, (_, members) in enumerate(dec.classes):
-        for z in members:
-            where[z] = ci
-
+    # Type (i) is every NIM edge touching S (those the buckets leave out)
+    # or a constant class; the rest are typed by whether their color is
+    # feasible for the class, or for one of the two classes, they join.
+    constant = {ci for ci, colors in enumerate(feas) if len(colors) == 1}
     type_counts = {"(i)": 0, "(2)": 0, "(ii)": 0, "(3)": 0, "(iii)": 0}
     leftover: dict[int, list] = {c: [] for c in range(1, k + 1)}
-    for idx, flagged in enumerate(report.flags):
-        if not flagged:
-            continue
-        u, v = pairs[idx]
-        c = report.colors[idx]
-        if (u in in_s or v in in_s
-                or u in constant_vertices or v in constant_vertices):
-            type_counts["(i)"] += 1
-        elif where[u] == where[v]:
-            if c in feas[where[u]]:
-                type_counts["(2)"] += 1
+    bucketed = 0
+    typed = [((ci,), "(2)", "(ii)", by_color) for ci, by_color in inside.items()]
+    typed += [(pair, "(3)", "(iii)", by_color) for pair, by_color in cross.items()]
+    for key, fits, misfits, by_color in typed:
+        own = set().union(*(feas[ci] for ci in key))
+        for c, edges in by_color.items():
+            bucketed += len(edges)
+            if constant.intersection(key):
+                type_counts["(i)"] += len(edges)
+            elif c in own:
+                type_counts[fits] += len(edges)
             else:
-                type_counts["(ii)"] += 1
-                leftover[c].append((u, v))
-        else:
-            if c in feas[where[u]] | feas[where[v]]:
-                type_counts["(3)"] += 1
-            else:
-                type_counts["(iii)"] += 1
-                leftover[c].append((u, v))
-    assert sum(type_counts.values()) == report.count
+                type_counts[misfits] += len(edges)
+                leftover[c] += edges
+    type_counts["(i)"] += report.count - bucketed
 
     b_sets = []
     for c in range(1, k + 1):

@@ -17,7 +17,7 @@ exactly once.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import SimpleGraph
@@ -310,12 +310,10 @@ def graph_from_code(code: CanonicalCode) -> SimpleGraph:
 def _children(
     parent: SimpleGraph,
     predicate: Optional[Callable[[SimpleGraph, int], bool]],
-    mask_stream: Optional[Callable[[SimpleGraph], Iterable[int]]],
 ) -> Iterator[SimpleGraph]:
     v = parent.n
-    masks = mask_stream(parent) if mask_stream is not None else range(1 << v)
     seen: set[CanonicalCode] = set()
-    for mask in masks:
+    for mask in range(1 << v):
         child = parent.add_vertex(mask)
         if predicate is not None and not predicate(child, v):
             continue
@@ -338,18 +336,13 @@ def enumerate_graphs(
     *,
     ceiling: int = DEFAULT_ENUM_CEILING,
     predicate: Optional[Callable[[SimpleGraph, int], bool]] = None,
-    mask_stream: Optional[Callable[[SimpleGraph], Iterable[int]]] = None,
-    start: Optional[SimpleGraph | Iterable[SimpleGraph]] = None,
 ) -> Iterator[SimpleGraph]:
     """Stream one representative per isomorphism class on n vertices.
 
     `predicate(child, z)` prunes a just-augmented child (z is the new
     vertex); it must reject a graph only if every supergraph obtained by
     adding more vertices should also be rejected (hereditary filters such
-    as pattern-freeness qualify).  `mask_stream(parent)` optionally
-    restricts the neighborhoods tried for the new vertex.  `start` roots
-    the stream at the given graph(s) instead of K1, which partitions the
-    full enumeration into independent sub-streams.
+    as pattern-freeness qualify).
     """
     if n < 0:
         raise InvalidInputError("invalid-order", str(n))
@@ -361,21 +354,11 @@ def enumerate_graphs(
         yield SimpleGraph.empty(0)
         return
 
-    if start is None:
-        roots: Iterable[SimpleGraph] = [SimpleGraph.empty(1)]
-    elif isinstance(start, SimpleGraph):
-        roots = [start]
-    else:
-        roots = start
-
     def rec(g: SimpleGraph) -> Iterator[SimpleGraph]:
         if g.n == n:
             yield g
             return
-        for child in _children(g, predicate, mask_stream):
+        for child in _children(g, predicate):
             yield from rec(child)
 
-    for root in roots:
-        if root.n > n:
-            raise InvalidInputError("invalid-start", "start graph larger than target")
-        yield from rec(root)
+    yield from rec(SimpleGraph.empty(1))

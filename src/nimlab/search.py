@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
-from .canon import canonical_code, enumerate_graphs
+from .canon import CanonicalCode, canonical_code, enumerate_graphs
 from .errors import InvalidInputError, RefusalError, ResourceLimitError
-from .graphs import edge_index, edge_pairs
+from .graphs import SimpleGraph, edge_pairs
 from .monoscan import EdgeColoring, _graph_nim
 from .patterns import BipartitePattern
 from .turan import TuranCache, _greedy_lower_bound, ex_exact
@@ -86,34 +85,20 @@ class SearchReport:
         }
 
 
-def _coloring_key(coloring: EdgeColoring) -> tuple[int, ...]:
-    """Smallest color vector over all vertex relabelings and color renames.
+def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
+    """Isomorphism key of a coloring under vertex relabeling and color renaming.
 
-    Color minimization for a fixed vertex order is just first-use
-    renaming, so only the n! vertex orders are tried.  Fine for n <= 6.
+    The canonical code of its incidence graph: one vertex per host vertex,
+    per edge and per color, each edge vertex joined to its two ends and to
+    its color.  The colors share one cell, so renaming them is free.
     """
-    n = coloring.n
-    m = n * (n - 1) // 2
-    colors = coloring.colors
-    pairs = edge_pairs(n)
-    best = None
-    for vp in permutations(range(n)):
-        arr = [0] * m
-        for i, (u, v) in enumerate(pairs):
-            a, b = vp[u], vp[v]
-            if a > b:
-                a, b = b, a
-            arr[edge_index(n, a, b)] = colors[i]
-        ren: dict[int, int] = {}
-        out = []
-        for c in arr:
-            if c not in ren:
-                ren[c] = len(ren) + 1
-            out.append(ren[c])
-        t = tuple(out)
-        if best is None or t < best:
-            best = t
-    return best
+    n, k = coloring.n, coloring.k
+    m = len(coloring.colors)
+    links = []
+    for i, (u, v) in enumerate(edge_pairs(n)):
+        links += [(n + i, u), (n + i, v), (n + i, n + m + coloring.colors[i] - 1)]
+    g = SimpleGraph.from_edges(n + m + k, links)
+    return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)])
 
 
 def _exact_two_color(n: int, pattern: BipartitePattern):

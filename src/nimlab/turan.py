@@ -199,6 +199,14 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
 # passing those filters are realized row by row: vertex i commits its
 # forward neighborhood at step i, so its full neighborhood is final there
 # and pair counters can be checked incrementally.
+#
+# The edge count descends from C(n, 2) in a single pass.  At each level
+# every realization of every candidate sequence is canonicalized into the
+# witness set, so the first level with a realization is ex(n, K_{2,t}) and
+# its witness set is already collected.  A per-sequence node budget guards
+# the search for the value (a blown one refuses rather than guess); a
+# larger budget shared by the rest of the level only bounds the witness
+# collection.
 # ---------------------------------------------------------------------------
 
 class _Budget(Exception):
@@ -346,51 +354,44 @@ def _realizations(ds: list[int], t: int, budget: list[int]) -> Iterator[list[int
 
 
 def _bnb_kst(n: int, t: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
-    value = 0
-    first: Optional[list[int]] = None
+    """ex(n, K_{2,t}) and its extremal graphs in one descent over m.
+
+    Every realization found at level m is canonicalized into the witness
+    set, so the first level that realizes anything gives both the value
+    and the witnesses.  Until that first witness each degree sequence gets
+    REALIZE_NODE_BUDGET, and blowing it refuses: the level might hide a
+    realization.  After it the rest of the level shares WITNESS_NODE_BUDGET;
+    blowing that, or finding more than WITNESS_CAP classes, only marks the
+    witness list incomplete.
+    """
     for m in range(comb(n, 2), -1, -1):
-        for ds in _degree_sequences(n, m, t):
-            budget = [REALIZE_NODE_BUDGET]
-            try:
+        wits: dict[bytes, SimpleGraph] = {}
+        complete = True
+        budget = [0]
+        try:
+            for ds in _degree_sequences(n, m, t):
+                if not wits:
+                    budget[0] = REALIZE_NODE_BUDGET
                 for adj in _realizations(ds, t, budget):
-                    first = adj
-                    break
-            except _Budget:
+                    g = SimpleGraph(n, tuple(adj))
+                    res = canonical_form(g)
+                    if res.code.data in wits:
+                        continue
+                    if len(wits) >= WITNESS_CAP:
+                        raise _Budget
+                    if not wits:
+                        budget[0] = WITNESS_NODE_BUDGET
+                    wits[res.code.data] = g.relabel(list(res.labeling))
+        except _Budget:
+            if not wits:
                 raise ResourceLimitError(
                     "realization-budget", f"degree-sequence search blew up at n={n}, m={m}"
                 )
-            if first is not None:
-                break
-        if first is not None:
-            value = m
+            complete = False
+        if wits:
             break
-
-    wits: dict[bytes, SimpleGraph] = {}
-
-    def record(adj: list[int]) -> bool:
-        g = SimpleGraph(n, tuple(adj))
-        res = canonical_form(g)
-        if res.code.data not in wits:
-            if len(wits) >= WITNESS_CAP:
-                return False
-            wits[res.code.data] = g.relabel(list(res.labeling))
-        return True
-
-    complete = True
-    budget = [WITNESS_NODE_BUDGET]
-    try:
-        for ds in _degree_sequences(n, value, t):
-            for adj in _realizations(ds, t, budget):
-                if not record(adj):
-                    raise _Budget
-    except _Budget:
-        complete = False
-    if first is not None and not wits:
-        # the collection pass can blow its budget on a barren degree
-        # sequence before reaching the one that realized
-        record(first)
     codes = tuple(sorted(encode_graph6(w) for w in wits.values()))
-    return TuranRecord("ex", pattern.name, fp, n, value, True, "degree-bnb",
+    return TuranRecord("ex", pattern.name, fp, n, m, True, "degree-bnb",
                        codes, complete)
 
 

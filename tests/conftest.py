@@ -43,6 +43,23 @@ def oracle_is_free(g, pattern: BipartitePattern) -> bool:
     return True
 
 
+def oracle_coloring_key(coloring: EdgeColoring) -> tuple[int, ...]:
+    """Smallest color vector over all n! vertex relabelings, colors renamed
+    in first-use order; equal keys mean equal up to relabeling and renaming."""
+    n = coloring.n
+    pairs = edge_pairs(n)
+    best = None
+    for vp in itertools.permutations(range(n)):
+        arr = [0] * len(pairs)
+        for i, (u, v) in enumerate(pairs):
+            arr[edge_index(n, vp[u], vp[v])] = coloring.colors[i]
+        ren: dict[int, int] = {}
+        key = tuple(ren.setdefault(c, len(ren) + 1) for c in arr)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def oracle_mono_free(coloring: EdgeColoring, pattern: BipartitePattern) -> bool:
     return all(oracle_nim_flags(coloring, pattern))
 

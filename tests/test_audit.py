@@ -305,20 +305,55 @@ def test_k_color_random_colorings_pass(c4):
     assert hits >= 6
 
 
-def test_k_color_type_counts_partition(c4):
+def _type_counts_by_definition(col, pattern, dec):
+    """Type every NIM edge from its endpoints' class vectors: (i) touches S
+    or a constant class; otherwise (2)/(3) inside one class or between two
+    when its color shows in the vector(s), (ii)/(iii) when it does not."""
+    vec_of = {z: vec for vec, members in dec.classes for z in members}
+    counts = dict.fromkeys(("(i)", "(2)", "(ii)", "(3)", "(iii)"), 0)
+    for u, v in nim_edges(col, pattern).edges():
+        c = col.color_of(u, v)
+        if u in dec.s_vertices or v in dec.s_vertices:
+            counts["(i)"] += 1
+        elif len(set(vec_of[u])) == 1 or len(set(vec_of[v])) == 1:
+            counts["(i)"] += 1
+        elif vec_of[u] == vec_of[v]:
+            counts["(2)" if c in vec_of[u] else "(ii)"] += 1
+        else:
+            counts["(3)" if c in vec_of[u] + vec_of[v] else "(iii)"] += 1
+    return counts
+
+
+# Three-colorings with skewed color frequencies; under k2,3 the first has
+# an edge of type (iii), the second one of type (2), the third one of
+# type (ii).  Uniform random colorings rarely show any type but (i) and (3).
+_RARE_TYPE_COLORINGS = [
+    (11, "1131113311113133111111331123333131313123111311333333131"),
+    (9, "233121111212221221112212122221212122"),
+    (10, "222121121131222111213112122211221221321213311"),
+]
+
+
+def test_k_color_type_counts_partition(c4, k23):
+    cases = [(EdgeColoring.random(10, 3, seed=seed), c4) for seed in range(10)]
+    cases += [(EdgeColoring(n, 3, [int(c) for c in text]), k23)
+              for n, text in _RARE_TYPE_COLORINGS]
     hits = 0
-    for seed in range(10):
-        col = EdgeColoring.random(10, 3, seed=seed)
+    seen = set()
+    for col, pattern in cases:
         try:
-            rep = audit_k_color(col, c4)
+            rep = audit_k_color(col, pattern)
         except NotApplicableError:
             continue
         hits += 1
         assert set(rep.type_counts) == {"(i)", "(2)", "(ii)", "(3)", "(iii)"}
         assert sum(rep.type_counts.values()) == rep.nim_count
+        assert rep.type_counts == _type_counts_by_definition(col, pattern, rep.decomposition)
         assert rep.n_star == rep.type_counts["(ii)"] + rep.type_counts["(iii)"]
         assert len(rep.b_sizes) == col.k
-    assert hits >= 4
+        seen.update(t for t, cnt in rep.type_counts.items() if cnt)
+    assert hits >= 7
+    assert seen == {"(i)", "(2)", "(ii)", "(3)", "(iii)"}
 
 
 def test_k_color_charge_rows(c4):

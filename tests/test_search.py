@@ -1,15 +1,22 @@
 import itertools
 import json
 import os
+import random
 
 import pytest
 
-from conftest import oracle_nim_flags
+from conftest import oracle_coloring_key, oracle_nim_flags
 from nimlab.errors import InvalidInputError, ResourceLimitError
-from nimlab.graphs import SimpleGraph, edge_pairs
+from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
 from nimlab.monoscan import EdgeColoring, is_h_free, nim_edges
 from nimlab.patterns import build_pattern
-from nimlab.search import EXACT_CEILINGS, f_exact, f_heuristic, verify_extremal_characterization
+from nimlab.search import (
+    EXACT_CEILINGS,
+    _coloring_key,
+    f_exact,
+    f_heuristic,
+    verify_extremal_characterization,
+)
 from nimlab.turan import clear_memo, ex_exact
 
 
@@ -80,6 +87,47 @@ def test_optima_deduplicated(k3):
     rep3 = f_exact(4, k3, 3)
     texts = {tuple(c.colors) for c in rep3.colorings}
     assert len(texts) == len(rep3.colorings)
+
+
+def _relabeled(coloring, perm, names):
+    """Vertex u becomes perm[u] and color c becomes names[c - 1]."""
+    n = coloring.n
+    colors = [0] * len(coloring.colors)
+    for i, (u, v) in enumerate(edge_pairs(n)):
+        colors[edge_index(n, perm[u], perm[v])] = names[coloring.colors[i] - 1]
+    return EdgeColoring(n, coloring.k, colors)
+
+
+def test_coloring_key_matches_oracle():
+    rng = random.Random(5)
+    for n in (4, 5):
+        cols = []
+        for _ in range(12):
+            col = EdgeColoring.random(n, 3, seed=rng.randrange(2 ** 32))
+            perm = rng.sample(range(n), n)
+            cols += [col, _relabeled(col, perm, [1, 2, 3]),
+                     _relabeled(col, perm, rng.sample([1, 2, 3], 3))]
+        keys = [_coloring_key(c) for c in cols]
+        oracle = [oracle_coloring_key(c) for c in cols]
+        for i in range(len(cols)):
+            for j in range(i):
+                assert (keys[i] == keys[j]) == (oracle[i] == oracle[j]), (n, i, j)
+        assert len(set(oracle)) > 1
+
+
+def test_three_color_optima_are_the_optimal_classes(k3, c4):
+    # score all 3^6 labeled colorings of K_4 by definition
+    for pattern in (k3, c4):
+        scored = []
+        for colors in itertools.product((1, 2, 3), repeat=6):
+            col = EdgeColoring(4, 3, list(colors))
+            scored.append((sum(oracle_nim_flags(col, pattern)), col))
+        best = max(score for score, _ in scored)
+        optimal = {oracle_coloring_key(col) for score, col in scored if score == best}
+        rep = f_exact(4, pattern, 3)
+        assert rep.value == best
+        keys = [oracle_coloring_key(col) for col in rep.colorings]
+        assert len(keys) == len(set(keys)) and set(keys) == optimal, pattern.name
 
 
 def test_exact_ceilings_enforced(k3):

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+import nimlab.turan
 from conftest import oracle_is_free
+from nimlab.canon import canonical_code
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, decode_graph6, edge_pairs, isomorphic_brute
 from nimlab.monoscan import is_h_free
@@ -84,18 +86,45 @@ def test_brute_force_agreement_tiny(k3, c4, k23):
             assert ex_exact(n, pattern).value == _brute_ex(n, pattern), (pattern.name, n)
 
 
+def _assert_same_record(bnb, enum):
+    assert bnb.value == enum.value
+    assert bnb.witnesses_complete == enum.witnesses_complete
+    assert sorted(canonical_code(w).data for w in bnb.witness_graphs()) == sorted(
+        canonical_code(w).data for w in enum.witness_graphs()
+    )
+
+
 def test_regime_cross_validation_c4(c4):
     # the degree branch-and-bound and the isomorphism-class enumeration are
-    # independent exact routes; they must agree wherever both run
+    # independent exact routes; they must agree on the value and on the
+    # extremal classes wherever both run
     fp = c4.graph_code.hex()
     for n in range(4, 9):
-        assert _bnb_kst(n, 2, c4, fp).value == _enum_ex(n, c4, fp).value
+        _assert_same_record(_bnb_kst(n, 2, c4, fp), _enum_ex(n, c4, fp))
 
 
 def test_regime_cross_validation_k23(k23):
     fp = k23.graph_code.hex()
     for n in range(5, 9):
-        assert _bnb_kst(n, 3, k23, fp).value == _enum_ex(n, k23, fp).value
+        _assert_same_record(_bnb_kst(n, 3, k23, fp), _enum_ex(n, k23, fp))
+
+
+def test_bnb_refuses_when_the_value_search_blows_its_budget(monkeypatch, c4):
+    monkeypatch.setattr(nimlab.turan, "REALIZE_NODE_BUDGET", 3)
+    with pytest.raises(ResourceLimitError) as err:
+        _bnb_kst(8, 2, c4, c4.graph_code.hex())
+    assert err.value.reason == "realization-budget"
+
+
+def test_bnb_witness_cap_keeps_the_value(monkeypatch, c4):
+    # ex(7, C4) = 9 has five extremal classes; a cap of one keeps the
+    # value and the first class found, and says the list is incomplete
+    monkeypatch.setattr(nimlab.turan, "WITNESS_CAP", 1)
+    rec = _bnb_kst(7, 2, c4, c4.graph_code.hex())
+    assert rec.value == 9 and rec.exact
+    assert len(rec.witnesses) == 1 and not rec.witnesses_complete
+    w = rec.witness_graphs()[0]
+    assert w.num_edges == 9 and oracle_is_free(w, c4)
 
 
 def test_mantel_formula_vs_enumeration(k3):
@@ -124,7 +153,7 @@ def test_complete_witness_lists_match_brute_classes(c4):
             continue
         wits = rec.witness_graphs()
         extremal = []
-        from nimlab.canon import canonical_code, enumerate_graphs
+        from nimlab.canon import enumerate_graphs
 
         for g in enumerate_graphs(n):
             if g.num_edges == rec.value and oracle_is_free(g, c4):
