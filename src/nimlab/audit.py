@@ -28,9 +28,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .graphs import SimpleGraph, bits_to_list, edge_pairs
-from .monoscan import EdgeColoring, NimReport, contains_copy, is_h_free, nim_edges
+from .monoscan import EdgeColoring, NimReport, is_h_free, nim_edges
 from .patterns import BipartitePattern, detect_biclique
-from .turan import TuranCache, _oriented_allowed, ex_exact, ex_star_exact
+from .turan import TuranCache, _has_oriented_copy, ex_exact, ex_star_exact
 
 __all__ = [
     "StarDecomposition",
@@ -538,10 +538,7 @@ def audit_k_color(coloring: EdgeColoring, pattern: BipartitePattern, *,
                 for side, xs, ys, owner in (("u", mu, mv, cv), ("v", mv, mu, cu)):
                     if c not in feas[owner]:
                         continue
-                    has = contains_copy(
-                        _graph_on(xs + ys, edges), rp,
-                        allowed=_oriented_allowed(len(xs), len(ys), rp),
-                    )
+                    has = _has_oriented_copy(_graph_on(xs + ys, edges), len(xs), rp)
                     rows.append(AuditRow(
                         f"A3.free[u={us},v={vs},i={c},X-side={side}]",
                         int(has), 0, not has, "",

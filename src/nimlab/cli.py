@@ -24,12 +24,11 @@ from .errors import (
     InvalidInputError,
     NimlabError,
     NotApplicableError,
-    RefusalError,
 )
 from .monoscan import EdgeColoring, nim_edges
 from .patterns import BipartitePattern, detect_biclique, parse_pattern
 from .search import f_exact, f_heuristic
-from .turan import TuranCache, TuranRecord, default_cache, ex_exact, ex_star_exact
+from .turan import TuranCache, default_cache, ex_exact, ex_star_exact
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,25 +56,6 @@ def _open_cache(args) -> Optional[TuranCache]:
     if getattr(args, "cache", None):
         return TuranCache(args.cache)
     return default_cache()
-
-
-def cache_roundtrip(record: TuranRecord, pattern: BipartitePattern, *, cache: TuranCache) -> TuranRecord:
-    """Persist a record, reload it from disk, and insist nothing changed.
-
-    Witness graphs are re-checked against the pattern on the way back in;
-    a corrupted cache line is skipped with a warning rather than trusted.
-    """
-    if not record.exact or not record.witnesses:
-        raise InvalidInputError(
-            "record-not-persistable", "only exact records with witnesses are cached"
-        )
-    cache.put(record)
-    reloaded = cache.get(record.kind, pattern, record.m, record.n)
-    if reloaded is None:
-        raise RefusalError("cache-roundtrip-failed", "record did not survive persistence")
-    if reloaded != record:
-        raise RefusalError("cache-roundtrip-failed", "reloaded record differs from the original")
-    return reloaded
 
 
 def _emit(doc: dict, args) -> None:

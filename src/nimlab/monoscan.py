@@ -166,14 +166,6 @@ def _copy_through(rows: list[int], pattern: BipartitePattern, u: int, v: int,
     when want_map is set.
     """
     h = pattern.h
-    if h == 3 and pattern.num_edges == 3:
-        common = rows[u] & rows[v]
-        if not common:
-            return None if want_map else False
-        if not want_map:
-            return True
-        w = (common & -common).bit_length() - 1
-        return (u, v, w)
     for plan in pattern.pin_plans:
         assign = [0] * h
         assign[0], assign[1] = u, v

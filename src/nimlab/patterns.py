@@ -133,7 +133,7 @@ class BipartitePattern:
     def oriented_fingerprint(self) -> CanonicalCode:
         """Code aware of (X, Y, w); distinguishes side orientations."""
         if not self.bipartite:
-            return canonical_form(self.graph).code
+            return self.graph_code
         xcell = [v for v in self.X if v != self.weak]
         cells = [xcell, list(self.Y)]
         if self.weak is not None:

@@ -150,8 +150,6 @@ def _exact_three_color(n: int, pattern: BipartitePattern):
             vec[i] = c
             rec(i + 1, max(used, c))
 
-    if m == 0:
-        return 0, [EdgeColoring(n, 3, [])], 1
     rec(0, 0)
 
     seen = set()
@@ -180,14 +178,15 @@ def f_exact(n: int, pattern: BipartitePattern, k: int = 2, *,
 
     Only k=2 and k=3 have exhaustive drivers, and each has a hard size
     ceiling (see EXACT_CEILINGS; `ceiling` overrides it at the caller's
-    risk).  Anything larger is refused rather than approximated.
+    risk, and gives no other k a driver).  Anything larger is refused
+    rather than approximated.
     """
     _check_search_args(n, pattern, k)
-    limit = ceiling if ceiling is not None else EXACT_CEILINGS.get(k)
-    if limit is None:
+    if k not in EXACT_CEILINGS:
         raise ResourceLimitError(
             "search-ceiling", f"no exhaustive driver for k={k}"
         )
+    limit = EXACT_CEILINGS[k] if ceiling is None else ceiling
     if n > limit:
         raise ResourceLimitError(
             "search-ceiling", f"n={n} exceeds the k={k} ceiling {limit}"
@@ -211,15 +210,9 @@ def _seed_colorings(n: int, pattern: BipartitePattern, k: int, seed: int,
     greedy pattern-free graph when that value is out of reach, so the
     stream never raises.
     """
-    fallback = None
-
     def greedy_graph():
-        nonlocal fallback
-        if fallback is None:
-            rec = _greedy_lower_bound(n, pattern, pattern.graph_code.hex(),
-                                      seed=seed)
-            fallback = rec.witness_graphs()[0]
-        return fallback
+        rec = _greedy_lower_bound(n, pattern, pattern.graph_code.hex(), seed=seed)
+        return rec.witness_graphs()[0]
 
     if k == 2:
         try:
@@ -256,7 +249,6 @@ def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
         raise InvalidInputError("invalid-budget", f"budget={budget}, need >= 1")
 
     pairs = edge_pairs(n)
-    m = len(pairs)
     evals = 0
     best_score = -1
     best_coloring: Optional[EdgeColoring] = None
@@ -303,10 +295,6 @@ def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
                 if total > best_score:
                     best_score, best_coloring = total, cur.copy()
                 improving = True
-
-    if m == 0 and best_coloring is None:
-        best_coloring = EdgeColoring(n, k, [])
-        best_score = 0
 
     return SearchReport(
         n=n, k=k, pattern_name=pattern.name, value=best_score,

@@ -7,7 +7,9 @@ everything else small, and a deterministic greedy lower bound past the
 exact ceilings.  The one-sided variant constrains copies to place a chosen
 side of the pattern inside the first part of a bipartite host.
 
-Records can be persisted to a shared line-oriented cache file; cached
+Both entry points find a record the same way (`_recall`): the in-process
+memo, then a shared line-oriented cache file, then the routes, whose
+record the cache stores if it is exact and has witnesses.  Cached
 witnesses are re-verified on every lookup and the record is discarded if
 anything fails to check out.
 """
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .canon import canonical_form, enumerate_graphs
 from .errors import InvalidInputError, ResourceLimitError
@@ -139,25 +141,6 @@ def _capped_degree_witness(n: int, d: int) -> SimpleGraph:
     g = SimpleGraph.from_edges(n, edges)
     assert g.num_edges == n * d // 2 and max(g.degrees()) <= d
     return g
-
-
-def _formula_ex(n: int, pattern: BipartitePattern, fp: str) -> Optional[TuranRecord]:
-    g = pattern.graph
-    r = detect_clique(g)
-    if r is not None:
-        if r == 2:
-            return TuranRecord("ex", pattern.name, fp, n, 0, True, "formula-clique",
-                               (encode_graph6(SimpleGraph.empty(n)),), True)
-        w = _turan_graph(n, r - 1)
-        return TuranRecord("ex", pattern.name, fp, n, w.num_edges, True,
-                           "formula-clique", (encode_graph6(w),), True)
-    r = detect_star(g)
-    if r is not None:
-        d = r - 1
-        w = _capped_degree_witness(n, d)
-        return TuranRecord("ex", pattern.name, fp, n, n * d // 2, True,
-                           "formula-star", (encode_graph6(w),), d == 0)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +414,60 @@ def _greedy_lower_bound(n: int, pattern: BipartitePattern, fp: str,
 _MEMO: dict[tuple, TuranRecord] = {}
 
 
+def _fingerprint(kind: str, pattern: BipartitePattern) -> str:
+    """Key of the pattern in the memo and the cache: side-aware for exstar."""
+    code = pattern.oriented_fingerprint if kind == "exstar" else pattern.graph_code
+    return code.hex()
+
+
+def _recall(kind: str, pattern: BipartitePattern, m: Optional[int], n: int,
+            cache: Optional["TuranCache"],
+            compute: Callable[[str], TuranRecord]) -> TuranRecord:
+    """The one lookup for every record: the memo, then the cache, then
+    compute(fingerprint), whose record is offered to the cache and, when
+    exact, memoized."""
+    fp = _fingerprint(kind, pattern)
+    key = (kind, fp, m, n)
+    if key in _MEMO:
+        return _MEMO[key]
+    rec = cache.get(kind, pattern, m, n) if cache is not None else None
+    if rec is None:
+        rec = compute(fp)
+        if cache is not None:
+            cache.put(rec)
+    if rec.exact:
+        _MEMO[key] = rec
+    return rec
+
+
+def _compute_ex(n: int, pattern: BipartitePattern, fp: str, seed: int) -> TuranRecord:
+    """The first route that applies: the complete graph when it is already
+    free, the clique and star closed forms, the K_{2,t} branch and bound,
+    enumeration, and past the ceilings the greedy lower bound."""
+    g = pattern.graph
+    if not contains_copy(SimpleGraph.complete(n), pattern):
+        w = SimpleGraph.complete(n)
+        return TuranRecord("ex", pattern.name, fp, n, w.num_edges, True,
+                           "trivial-complete", (encode_graph6(w),), True)
+    r = detect_clique(g)
+    if r is not None:
+        w = _turan_graph(n, r - 1)
+        return TuranRecord("ex", pattern.name, fp, n, w.num_edges, True,
+                           "formula-clique", (encode_graph6(w),), True)
+    r = detect_star(g)
+    if r is not None:
+        d = r - 1
+        w = _capped_degree_witness(n, d)
+        return TuranRecord("ex", pattern.name, fp, n, n * d // 2, True,
+                           "formula-star", (encode_graph6(w),), d == 0)
+    t = detect_biclique_two_side(g)
+    if t is not None and t >= 2 and n <= BNB_CEILING:
+        return _bnb_kst(n, t, pattern, fp)
+    if n <= ENUM_CEILING:
+        return _enum_ex(n, pattern, fp)
+    return _greedy_lower_bound(n, pattern, fp, seed=seed)
+
+
 def ex_exact(n: int, pattern: BipartitePattern, *,
              cache: Optional["TuranCache"] = None,
              seed: int = 0) -> TuranRecord:
@@ -438,42 +475,14 @@ def ex_exact(n: int, pattern: BipartitePattern, *,
 
     Exact whenever a closed form applies or n is within the search
     ceilings; otherwise the record carries exact=False and a greedy
-    lower bound.
+    lower bound.  Found through the shared memo and cache (`_recall`).
     """
     if n < 0:
         raise InvalidInputError("invalid-size", f"n={n}")
     if pattern.num_edges == 0:
         raise InvalidInputError("pattern-has-no-edges", pattern.name)
-    fp = pattern.graph_code.hex()
-    key = ("ex", fp, None, n)
-    if key in _MEMO:
-        return _MEMO[key]
-    if cache is not None:
-        rec = cache.get("ex", pattern, None, n)
-        if rec is not None:
-            _MEMO[key] = rec
-            return rec
-
-    if not contains_copy(SimpleGraph.complete(n), pattern):
-        w = SimpleGraph.complete(n)
-        rec = TuranRecord("ex", pattern.name, fp, n, w.num_edges, True,
-                          "trivial-complete", (encode_graph6(w),), True)
-    else:
-        rec = _formula_ex(n, pattern, fp)
-        if rec is None:
-            t = detect_biclique_two_side(pattern.graph)
-            if t is not None and t >= 2 and n <= BNB_CEILING:
-                rec = _bnb_kst(n, t, pattern, fp)
-            elif n <= ENUM_CEILING:
-                rec = _enum_ex(n, pattern, fp)
-            else:
-                rec = _greedy_lower_bound(n, pattern, fp, seed=seed)
-
-    if rec.exact:
-        _MEMO[key] = rec
-        if cache is not None and rec.witnesses:
-            cache.put(rec)
-    return rec
+    return _recall("ex", pattern, None, n, cache,
+                   lambda fp: _compute_ex(n, pattern, fp, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +502,16 @@ def _host_graph(m: int, n: int, rows: list[int]) -> SimpleGraph:
     return SimpleGraph(m + n, tuple(adj))
 
 
-def _oriented_allowed(m: int, n: int, rp: BipartitePattern) -> list[int]:
+def _has_oriented_copy(g: SimpleGraph, m: int, rp: BipartitePattern) -> bool:
+    """Whether the host g holds a copy of rp whose X side lies in its first
+    part (vertices 0..m-1) and whose Y side lies in the rest."""
     mmask = (1 << m) - 1
-    nmask = ((1 << n) - 1) << m
     allowed = [0] * rp.h
     for v in rp.X:
         allowed[v] = mmask
     for v in rp.Y:
-        allowed[v] = nmask
-    return allowed
-
-
-def _has_oriented_copy(m: int, n: int, rows: list[int], rp: BipartitePattern) -> bool:
-    g = _host_graph(m, n, rows)
-    return contains_copy(g, rp, allowed=_oriented_allowed(m, n, rp))
+        allowed[v] = ((1 << g.n) - 1) & ~mmask
+    return contains_copy(g, rp, allowed=allowed)
 
 
 def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord:
@@ -539,7 +544,8 @@ def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord
             if cur + mask.bit_count() * (m - i) < best:
                 break
             rows[i] = mask
-            if not _has_oriented_copy(m, n, rows[: i + 1] + [0] * (m - i - 1), rp):
+            host = _host_graph(m, n, rows[: i + 1] + [0] * (m - i - 1))
+            if not _has_oriented_copy(host, m, rp):
                 place(i + 1, cur + mask.bit_count(), idx)
         rows[i] = 0
 
@@ -556,10 +562,35 @@ def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord
                        codes, complete, m=m)
 
 
+def _compute_exstar(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord:
+    """The first route that applies: the complete host when the pattern
+    cannot fit, the star closed form, else the row search."""
+    if len(rp.X) > m or len(rp.Y) > n:
+        w = _host_graph(m, n, [(1 << n) - 1] * m)
+        return TuranRecord("exstar", rp.name, fp, n, m * n, True, "formula-fit",
+                           (encode_graph6(w),), True, m=m)
+    r = detect_star(rp.graph)
+    if r is None:
+        return _exstar_search(m, n, rp, fp)
+    center = max(range(rp.h), key=rp.graph.degree)
+    d = r - 1
+    if center in rp.X:
+        value = m * d
+        rows = [((1 << d) - 1) for _ in range(m)]
+    else:
+        value = n * d
+        rows = [(1 << n) - 1 for _ in range(d)] + [0] * (m - d)
+    w = _host_graph(m, n, rows)
+    assert w.num_edges == value
+    return TuranRecord("exstar", rp.name, fp, n, value, True, "formula-star",
+                       (encode_graph6(w),), value == 0, m=m)
+
+
 def ex_star_exact(m: int, n: int, rp: BipartitePattern, *,
                   cache: Optional["TuranCache"] = None) -> TuranRecord:
     """Max edges of a host between parts of sizes m and n avoiding copies
-    of the reduced pattern whose X side sits inside the m-part."""
+    of the reduced pattern whose X side sits inside the m-part.  Found
+    through the shared memo and cache (`_recall`)."""
     if m < 0 or n < 0:
         raise InvalidInputError("invalid-size", f"m={m}, n={n}")
     if not rp.bipartite:
@@ -570,43 +601,8 @@ def ex_star_exact(m: int, n: int, rp: BipartitePattern, *,
         raise InvalidInputError(
             "ambiguous bipartition", f"{rp.name} is disconnected; side placement is not unique"
         )
-    fp = rp.oriented_fingerprint.hex()
-    key = ("exstar", fp, m, n)
-    if key in _MEMO:
-        return _MEMO[key]
-    if cache is not None:
-        rec = cache.get("exstar", rp, m, n)
-        if rec is not None:
-            _MEMO[key] = rec
-            return rec
-
-    if len(rp.X) > m or len(rp.Y) > n:
-        w = _host_graph(m, n, [(1 << n) - 1] * m)
-        rec = TuranRecord("exstar", rp.name, fp, n, m * n, True, "formula-fit",
-                          (encode_graph6(w),), True, m=m)
-    else:
-        rec = None
-        r = detect_star(rp.graph)
-        if r is not None:
-            center = max(range(rp.h), key=rp.graph.degree)
-            d = r - 1
-            if center in rp.X:
-                value = m * d
-                rows = [((1 << d) - 1) for _ in range(m)]
-            else:
-                value = n * d
-                rows = [(1 << n) - 1 for _ in range(d)] + [0] * (m - d)
-            w = _host_graph(m, n, rows)
-            assert w.num_edges == value
-            rec = TuranRecord("exstar", rp.name, fp, n, value, True, "formula-star",
-                              (encode_graph6(w),), value == 0, m=m)
-        if rec is None:
-            rec = _exstar_search(m, n, rp, fp)
-
-    _MEMO[key] = rec
-    if cache is not None and rec.witnesses:
-        cache.put(rec)
-    return rec
+    return _recall("exstar", rp, m, n, cache,
+                   lambda fp: _compute_exstar(m, n, rp, fp))
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +612,10 @@ def ex_star_exact(m: int, n: int, rp: BipartitePattern, *,
 class TuranCache:
     """Line-oriented record store keyed by pattern fingerprint and sizes.
 
-    Only exact records with witnesses are stored.  Lookups re-verify every
-    witness (freeness, edge count, host shape) and silently drop records
-    that fail, so a tampered or stale file degrades to recomputation.
+    Only exact records with witnesses are stored; `put` alone decides
+    that.  Lookups re-verify every witness (order, edge count, the parts
+    of a one-sided host, freeness) and drop a record that fails with a
+    logged warning, so a tampered or stale file degrades to recomputation.
     """
 
     def __init__(self, path):
@@ -659,33 +656,30 @@ class TuranCache:
         except Exception as exc:
             log.warning("cache record malformed: %s", exc)
             return None
+        order = n if kind == "ex" else m + n
         for g in graphs:
-            if g.num_edges != value:
-                log.warning("cache witness edge count mismatch; recomputing")
+            if g.n != order or g.num_edges != value:
+                log.warning("cache witness has the wrong order or edge count; recomputing")
                 return None
             if kind == "ex":
-                if g.n != n or contains_copy(g, pattern):
-                    log.warning("cache witness failed verification; recomputing")
-                    return None
+                found = contains_copy(g, pattern)
             else:
-                if g.n != m + n:
-                    return None
                 mm = (1 << m) - 1
-                nm = ((1 << n) - 1) << m
                 if any(g.adj[i] & mm for i in range(m)) or any(
-                        g.adj[j] & nm for j in range(m, m + n)):
+                        g.adj[j] & ~mm for j in range(m, order)):
                     log.warning("cache witness is not bipartite on the stated parts")
                     return None
-                if contains_copy(g, pattern, allowed=_oriented_allowed(m, n, pattern)):
-                    log.warning("cache witness failed verification; recomputing")
-                    return None
+                found = _has_oriented_copy(g, m, pattern)
+            if found:
+                log.warning("cache witness failed verification; recomputing")
+                return None
         return TuranRecord(kind, doc.get("pattern", pattern.name), fp, n,
                            value, True, doc.get("method", "cache"),
                            tuple(wits), bool(doc.get("complete")), m=m)
 
     def get(self, kind: str, pattern: BipartitePattern,
             m: Optional[int], n: int) -> Optional[TuranRecord]:
-        fp = (pattern.oriented_fingerprint if kind == "exstar" else pattern.graph_code).hex()
+        fp = _fingerprint(kind, pattern)
         hits = [doc for doc in self._read_all()
                 if (doc.get("kind") == kind and doc.get("fp") == fp
                     and doc.get("n") == n and doc.get("m") == m)]

@@ -327,17 +327,28 @@ def _type_counts_by_definition(col, pattern, dec):
 # Three-colorings with skewed color frequencies; under k2,3 the first has
 # an edge of type (iii), the second one of type (2), the third one of
 # type (ii).  Uniform random colorings rarely show any type but (i) and (3).
+#
+# Under c6 the fourth has S = {0..6, 9}, vertex 7 alone in the all-1 class
+# and the NIM edge (7, 8), which is type (i) only because it touches that
+# constant class.  Under c4 and k2,3 no vertex outside S can lie in a
+# constant class: its vector joins it in one color c to all of S.  If the
+# color-c star is of the max-degree kind, it keeps every color-c neighbour
+# of its center, so the vertex would be in S.  If it is of the big-star
+# kind, the vertex and the center are both joined in color c to the NIM
+# partner and the other leaves, which closes a monochromatic C4, or a
+# K_{2,t}, through the NIM edge.
 _RARE_TYPE_COLORINGS = [
-    (11, "1131113311113133111111331123333131313123111311333333131"),
-    (9, "233121111212221221112212122221212122"),
-    (10, "222121121131222111213112122211221221321213311"),
+    ("k2,3", 11, "1131113311113133111111331123333131313123111311333333131"),
+    ("k2,3", 9, "233121111212221221112212122221212122"),
+    ("k2,3", 10, "222121121131222111213112122211221221321213311"),
+    ("c6", 10, "111111113233321332323132232123221333133123213"),
 ]
 
 
-def test_k_color_type_counts_partition(c4, k23):
+def test_k_color_type_counts_partition(c4):
     cases = [(EdgeColoring.random(10, 3, seed=seed), c4) for seed in range(10)]
-    cases += [(EdgeColoring(n, 3, [int(c) for c in text]), k23)
-              for n, text in _RARE_TYPE_COLORINGS]
+    cases += [(EdgeColoring(n, 3, [int(c) for c in text]), build_pattern(name))
+              for name, n, text in _RARE_TYPE_COLORINGS]
     hits = 0
     seen = set()
     for col, pattern in cases:
@@ -352,7 +363,7 @@ def test_k_color_type_counts_partition(c4, k23):
         assert rep.n_star == rep.type_counts["(ii)"] + rep.type_counts["(iii)"]
         assert len(rep.b_sizes) == col.k
         seen.update(t for t, cnt in rep.type_counts.items() if cnt)
-    assert hits >= 7
+    assert hits >= 8
     assert seen == {"(i)", "(2)", "(ii)", "(3)", "(iii)"}
 
 

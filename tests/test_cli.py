@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from nimlab.cli import build_parser, cache_roundtrip, load_pattern, main
-from nimlab.errors import InvalidInputError, NotApplicableError
+from nimlab.cli import build_parser, main
+from nimlab.errors import NotApplicableError
 from nimlab.monoscan import EdgeColoring, nim_edges
-from nimlab.turan import TuranCache, ex_exact
+from nimlab.turan import ex_exact
 
 
 def run(capsys, *argv):
@@ -231,6 +231,16 @@ def test_exact_ceiling_refusal_exits_2(capsys):
     assert "ceiling" in err["error"] or "budget" in err["error"]
 
 
+def test_ceiling_override_gives_no_driver_to_four_colors(capsys):
+    # a ceiling bounds n for an existing driver; it must not send k = 4
+    # through the three-color search
+    code, err = run_json(
+        capsys, "f", "--n", "4", "--pattern", "k1,2", "--k", "4", "--exact", "--ceiling", "4"
+    )
+    assert code == 2
+    assert err["error"] == "search-ceiling"
+
+
 def test_audit2_on_three_coloring_exits_3(capsys, tmp_path):
     col = EdgeColoring.random(8, 3, seed=0)
     path = tmp_path / "three.txt"
@@ -318,26 +328,6 @@ def test_explicit_cache_flag(capsys, tmp_path, monkeypatch):
         capsys, "--cache", str(cache_path), "ex", "--n", "7", "--pattern", "c4"
     )
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# cache roundtrip helper
-
-
-def test_cache_roundtrip_accepts_exact_record(tmp_path, c4):
-    cache = TuranCache(str(tmp_path / "c.jsonl"))
-    rec = ex_exact(6, c4)
-    back = cache_roundtrip(rec, c4, cache=cache)
-    assert back == rec
-
-
-def test_cache_roundtrip_rejects_inexact_record(tmp_path):
-    c6 = load_pattern("c6")
-    cache = TuranCache(str(tmp_path / "c.jsonl"))
-    rec = ex_exact(14, c6)
-    assert not rec.exact
-    with pytest.raises(InvalidInputError):
-        cache_roundtrip(rec, c6, cache=cache)
 
 
 def test_parser_rejects_unknown_subcommand(capsys):

@@ -137,8 +137,15 @@ def test_exact_ceilings_enforced(k3):
         f_exact(EXACT_CEILINGS[3] + 1, k3, 3)
     with pytest.raises(ResourceLimitError):
         f_exact(4, k3, 4)
-    # an explicit ceiling raise is honored
+    # an explicit ceiling replaces the default: lowered to 4, it refuses
+    # n = 5 and still answers n = 4
+    with pytest.raises(ResourceLimitError):
+        f_exact(5, k3, 2, ceiling=4)
     assert f_exact(4, k3, 2, ceiling=4).value == _brute_f(4, k3, 2)
+    # nor does a ceiling give k = 4 a driver: the three-color search
+    # would report 4 for a true maximum of 7
+    with pytest.raises(ResourceLimitError):
+        f_exact(5, build_pattern("k1,2"), 4, ceiling=5)
 
 
 def test_exact_rejects_bad_input(k3):

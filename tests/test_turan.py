@@ -357,6 +357,17 @@ def test_cache_keeps_last_valid_record(tmp_path, c4):
     assert got == rec
 
 
+def test_cache_put_ignores_inexact_records(tmp_path):
+    path = tmp_path / "t.jsonl"
+    cache = TuranCache(path)
+    c6 = build_pattern("c6")
+    rec = ex_exact(14, c6)
+    assert not rec.exact and rec.witnesses
+    cache.put(rec)
+    assert not path.exists()
+    assert cache.get("ex", c6, None, 14) is None
+
+
 def test_default_cache_env(tmp_path, monkeypatch, c4):
     target = tmp_path / "env.jsonl"
     monkeypatch.setenv("NIMLAB_CACHE", str(target))
