@@ -12,7 +12,13 @@ Enumeration uses canonical augmentation: a graph built by appending vertex
 z to a parent is kept iff z lies in the automorphism orbit of the vertex
 occupying the last canonical position, with per-parent deduplication by
 canonical code.  Every isomorphism class on the target order is produced
-exactly once.
+exactly once.  Each kept graph carries the automorphism generators its
+own canonical form found, and among its children a neighbor mask M of z
+is skipped when one generator maps M to a smaller mask.  The output is
+unchanged: the smallest mask of each orbit is never skipped, and two kept
+children of one parent are isomorphic only if their masks share an orbit.
+A child whose z is below the top degree is dropped before refinement,
+since the canonical-last vertex always has top degree.
 """
 
 from __future__ import annotations
@@ -307,19 +313,44 @@ def graph_from_code(code: CanonicalCode) -> SimpleGraph:
 # Isomorph-free enumeration by canonical augmentation.
 # ---------------------------------------------------------------------------
 
+def _mask_images(gamma: tuple[int, ...], v: int) -> list[int]:
+    """images[M] is the mask gamma(M), for every mask M on v vertices."""
+    images = [0] * (1 << v)
+    for mask in range(1, 1 << v):
+        low = mask & -mask
+        images[mask] = images[mask ^ low] | (1 << gamma[low.bit_length() - 1])
+    return images
+
+
 def _children(
     parent: SimpleGraph,
+    generators: tuple[tuple[int, ...], ...],
     predicate: Optional[Callable[[SimpleGraph, int], bool]],
-) -> Iterator[SimpleGraph]:
+) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...]]]:
+    """Accepted children of `parent` with their automorphism generators.
+
+    `generators` are automorphisms of the parent.  A mask that one of them
+    maps to a smaller mask is skipped: the smallest mask of its orbit is
+    tried first and gives an isomorphic child (the automorphism, fixing the
+    new vertex, carries one child onto the other), so the skipped child
+    could only repeat a code already in `seen` or be rejected like it.
+    """
     v = parent.n
+    images = [_mask_images(gamma, v) for gamma in generators]
     seen: set[CanonicalCode] = set()
     for mask in range(1 << v):
+        if any(img[mask] < mask for img in images):
+            continue
         child = parent.add_vertex(mask)
+        # the canonical-last vertex always sits in the final cell of the
+        # root refinement, and that cell holds only vertices of top degree
+        if mask.bit_count() < max(row.bit_count() for row in child.adj):
+            continue
         if predicate is not None and not predicate(child, v):
             continue
         root = _refine(child.adj, [list(range(v + 1))])
         if v not in root[-1]:
-            continue  # canonical-last vertex always sits in the final cell
+            continue
         res = canonical_form(child, _root_cells=root)
         pos = res.labeling
         last = pos.index(v)  # vertex occupying the last canonical position
@@ -328,7 +359,7 @@ def _children(
         if res.code in seen:
             continue
         seen.add(res.code)
-        yield child
+        yield child, res.generators
 
 
 def enumerate_graphs(
@@ -342,7 +373,8 @@ def enumerate_graphs(
     `predicate(child, z)` prunes a just-augmented child (z is the new
     vertex); it must reject a graph only if every supergraph obtained by
     adding more vertices should also be rejected (hereditary filters such
-    as pattern-freeness qualify).
+    as pattern-freeness qualify), and it must judge two children alike
+    when an isomorphism between them fixes z.
     """
     if n < 0:
         raise InvalidInputError("invalid-order", str(n))
@@ -354,11 +386,11 @@ def enumerate_graphs(
         yield SimpleGraph.empty(0)
         return
 
-    def rec(g: SimpleGraph) -> Iterator[SimpleGraph]:
+    def rec(g: SimpleGraph, gens) -> Iterator[SimpleGraph]:
         if g.n == n:
             yield g
             return
-        for child in _children(g, predicate):
-            yield from rec(child)
+        for child, child_gens in _children(g, gens, predicate):
+            yield from rec(child, child_gens)
 
-    yield from rec(SimpleGraph.empty(1))
+    yield from rec(SimpleGraph.empty(1), ())

@@ -9,7 +9,8 @@ import itertools
 
 import pytest
 
-from nimlab.graphs import edge_index, edge_pairs
+from nimlab.canon import _refine, canonical_form
+from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
 from nimlab.monoscan import EdgeColoring
 from nimlab.patterns import BipartitePattern, build_pattern
 
@@ -58,6 +59,40 @@ def oracle_coloring_key(coloring: EdgeColoring) -> tuple[int, ...]:
         if best is None or key < best:
             best = key
     return best
+
+
+def oracle_children(parent: SimpleGraph, predicate=None):
+    """Canonical augmentation that tries every neighbor mask of the new
+    vertex, with no automorphism pruning: the accepted children of
+    `parent`, in mask order."""
+    v = parent.n
+    seen = set()
+    for mask in range(1 << v):
+        child = parent.add_vertex(mask)
+        if predicate is not None and not predicate(child, v):
+            continue
+        root = _refine(child.adj, [list(range(v + 1))])
+        if v not in root[-1]:
+            continue
+        res = canonical_form(child, _root_cells=root)
+        last = res.labeling.index(v)
+        if res.orbits[v] != res.orbits[last] or res.code in seen:
+            continue
+        seen.add(res.code)
+        yield child
+
+
+def oracle_enumerate_graphs(n: int, predicate=None):
+    """One graph per isomorphism class on n >= 1 vertices, built with
+    `oracle_children`."""
+    def rec(g):
+        if g.n == n:
+            yield g
+            return
+        for child in oracle_children(g, predicate):
+            yield from rec(child)
+
+    yield from rec(SimpleGraph.empty(1))
 
 
 def oracle_mono_free(coloring: EdgeColoring, pattern: BipartitePattern) -> bool:

@@ -232,6 +232,39 @@ def test_two_color_c3_rows():
     assert between == [(1, 0, 2)]
 
 
+def test_two_color_c3_rows_on_a_matching(c4):
+    # two mixed classes {0, 2} and {4, 6}; the color-2 NIM edges 0-6 and
+    # 2-4 run between them, so C3.free looks for the reduced pattern (a
+    # path with two edges) in a two-edge graph, and C3.count meets its
+    # bound ex(4, P3) = 2.  Found by local search over 9-vertex colorings.
+    col = EdgeColoring.parse(
+        "9 2\n1 1 1 1 2 2 2 1 1 2 1 1 1 1 2 1 2 2 1 2 1 1 2 1 2 2 2 1 2 2 2 1 1 2 2 1\n"
+    )
+    rep = audit_two_color(col, c4)
+    assert rep.passed
+    assert rep.decomposition.s_vertices == (1, 3, 5, 7, 8)
+    assert rep.decomposition.classes == (
+        ((1, 1, 2, 2, 1), (0, 2)),
+        ((1, 1, 2, 2, 2), (4, 6)),
+    )
+    key = "u=1,1,2,2,1,v=1,1,2,2,2"
+    got = [(r.claim, r.measured, r.bound, r.passed) for r in rep.rows
+           if r.claim.startswith("C3")]
+    assert got == [
+        (f"C3.free[{key},color=1]", 0, 0, True),
+        (f"C3.count[{key},color=1]", 0, 2, True),
+        (f"C3.free[{key},color=2]", 0, 0, True),
+        (f"C3.count[{key},color=2]", 2, 2, True),
+        (f"C3.total[{key}]", 2, 4, True),
+        (f"C3.literal[{key}]", 2, 8, True),
+    ]
+
+    report = nim_edges(col, c4)
+    between = [(x, y, col.color_of(x, y)) for x, y in report.edges()
+               if len({x, y} & {0, 2}) == 1 and len({x, y} & {4, 6}) == 1]
+    assert between == [(0, 6, 2), (2, 4, 2)]
+
+
 def test_two_color_report_json_is_stable(c4):
     col, rep = _first_applicable_two(6, c4, range(20))
     again = audit_two_color(col, c4)

@@ -12,6 +12,8 @@ from nimlab.canon import (
     graph_from_code,
 )
 from nimlab.errors import InvalidInputError
+from nimlab.patterns import build_pattern
+from nimlab.turan import _pattern_free_predicate
 from nimlab.graphs import (
     SimpleGraph,
     automorphisms_brute,
@@ -19,6 +21,8 @@ from nimlab.graphs import (
     isomorphic_brute,
     orbits_brute,
 )
+
+from conftest import oracle_enumerate_graphs
 
 
 def _random_graph(rng, n):
@@ -129,7 +133,7 @@ def test_code_comparable_and_hashable():
 
 def test_enumerate_counts():
     # classic counts of graphs up to isomorphism
-    expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+    expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, want in expected.items():
         assert sum(1 for _ in enumerate_graphs(n)) == want
 
@@ -142,18 +146,34 @@ def test_enumerate_yields_distinct_canonical_representatives():
         seen.add(code)
 
 
+def _tri_free(g, v):
+    row = g.adj[v]
+    return all(
+        not (g.adj[u] & row & ~(1 << u) & ~(1 << v))
+        for u in range(v)
+        if (row >> u) & 1
+    )
+
+
 def test_enumerate_with_predicate_prunes_hereditarily():
     # triangle-free count on 5 vertices is 14
-    def tri_free(g, v):
-        row = g.adj[v]
-        return all(
-            not (g.adj[u] & row & ~(1 << u) & ~(1 << v))
-            for u in range(v)
-            if (row >> u) & 1
-        )
-
-    got = sum(1 for _ in enumerate_graphs(5, predicate=tri_free))
+    got = sum(1 for _ in enumerate_graphs(5, predicate=_tri_free))
     assert got == 14
+
+
+@pytest.mark.parametrize("which", ["none", "triangle-free", "c4-free"])
+def test_enumerate_matches_unpruned_augmentation(which):
+    # skipping masks that a parent automorphism maps lower must not change
+    # which labeled graphs come out, nor their order
+    predicate = {
+        "none": None,
+        "triangle-free": _tri_free,
+        "c4-free": _pattern_free_predicate(build_pattern("c4")),
+    }[which]
+    for n in range(1, 8):
+        got = [(g.n, g.adj) for g in enumerate_graphs(n, predicate=predicate)]
+        want = [(g.n, g.adj) for g in oracle_enumerate_graphs(n, predicate)]
+        assert got == want
 
 
 def test_enumerate_rejects_bad_order():

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,24 @@ def test_exact_matches_brute_small(k3, c4):
     for pattern in (k3, c4):
         for n in range(2, 5):
             assert f_exact(n, pattern, 2).value == _brute_f(n, pattern, 2), (pattern.name, n)
+
+
+@pytest.mark.parametrize("name,n", [("k3", 5), ("k3", 6), ("c4", 5), ("c4", 6)])
+def test_golden_rows_match_brute_force(name, n):
+    # the golden table was written by f_exact; these rows are checked
+    # against every 2-coloring instead.  Swapping the two colors keeps the
+    # NIM count, so edge (0, 1) is fixed to color 1.
+    path = Path(__file__).parent / "goldens" / "f_two_color.json"
+    golden = json.loads(path.read_text())[name][str(n)]
+    pattern = build_pattern(name)
+    m = n * (n - 1) // 2
+    first = edge_index(n, 0, 1)
+    best = 0
+    for rest in itertools.product((1, 2), repeat=m - 1):
+        colors = list(rest)
+        colors.insert(first, 1)
+        best = max(best, sum(oracle_nim_flags(EdgeColoring(n, 2, colors), pattern)))
+    assert best == golden
 
 
 def test_exact_three_color_matches_brute(k3):
