@@ -1,20 +1,21 @@
 """Canonical augmentation, before and after: wall time and canon work counts.
 
-    python3 bench/canon_augmentation.py --parent PATH [--repeat 5] [--out FILE]
+    python3 bench/canon_augmentation.py --parent PATH
 
 PATH is a checkout of the commit to compare against (`git archive` of it
 unpacked somewhere will do); this checkout is the change.  Each case runs
-in a fresh process per side and repeat, importing nimlab from that side's
-`src/`, with the two sides alternating.  Timed runs are unwrapped.  One
-more run per side wraps canon and counts its work, which does not depend
-on the machine:
+in a fresh process per side and repeat (5 repeats), importing nimlab from
+that side's `src/`, with the two sides alternating.  Timed runs are
+unwrapped.  One more run per side installs the benchmark tracer
+(`perfbench/tracer.py`) and counts canon's work, which does not depend on
+the machine:
 
 - children built: `SimpleGraph.add_vertex` calls (only `canon` makes them)
-- `canonical_form`, `_refine` and `_leaf` calls
+- `canonical_form`, `_refine` and `_leaf` calls, read from the tracer
 
 Each side also hashes the case's output (the enumerated graphs in order,
 the `f_exact` report, the `_enum_ex` record), so equal hashes show that
-the outputs are byte-identical.  The result goes to FILE, by default
+the outputs are byte-identical.  The result goes to
 `bench/BENCH_canon_augmentation.json`.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -32,6 +34,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+OUT = os.path.join(HERE, "BENCH_canon_augmentation.json")
+REPEAT = 5
 
 CASES = ("enumerate_graphs(8)", "f_exact(8, c4, 2)", "_enum_ex(8, c6)")
 COUNTED = ("add_vertex", "canonical_form", "_refine", "_leaf")
@@ -53,33 +58,31 @@ def _run_case(case: str) -> str:
     raise SystemExit(f"unknown case {case!r}")
 
 
-def _install_counters() -> dict[str, int]:
-    """Wrap the counted functions wherever nimlab holds them by name."""
-    from nimlab import canon, graphs
+def _install_counters():
+    """Install the benchmark tracer and count `add_vertex` calls beside it."""
+    from nimlab import graphs
 
-    counts = dict.fromkeys(COUNTED, 0)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    tracer = mod.Tracer()
+    tracer.install()
+    added = [0]
+    add_vertex = graphs.SimpleGraph.add_vertex
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(self, mask):
+        added[0] += 1
+        return add_vertex(self, mask)
 
-    graphs.SimpleGraph.add_vertex = counting("add_vertex", graphs.SimpleGraph.add_vertex)
-    modules = [m for name, m in sys.modules.items()
-               if name == "nimlab" or name.startswith("nimlab.")]
-    for name in COUNTED[1:]:
-        original = getattr(canon, name)
-        wrapper = counting(name, original)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                setattr(module, name, wrapper)
-    return counts
+    graphs.SimpleGraph.add_vertex = counting
+    return lambda: {
+        "add_vertex": added[0],
+        **{name: tracer.layer(f"canon.{name}")["calls"] for name in COUNTED[1:]},
+    }
 
 
 def _child(case: str, counted: bool) -> None:
-    import nimlab.search  # noqa: F401  (load every module before wrapping)
-    import nimlab.turan  # noqa: F401
+    import nimlab.cli  # noqa: F401  (loads every module the tracer wraps)
 
     counts = _install_counters() if counted else None
     t0 = time.perf_counter()
@@ -87,7 +90,7 @@ def _child(case: str, counted: bool) -> None:
     wall = time.perf_counter() - t0
     out = {"wall_s": wall, "output_sha256": hashlib.sha256(text.encode()).hexdigest()}
     if counts is not None:
-        out["counts"] = counts
+        out["counts"] = counts()
     print(json.dumps(out))
 
 
@@ -103,8 +106,6 @@ def _spawn(src: str, case: str, counted: bool) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="checkout of the commit to compare against")
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(HERE, "BENCH_canon_augmentation.json"))
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--counted", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -119,14 +120,14 @@ def main() -> None:
     result = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "cases": {},
     }
     for case in CASES:
         entry = {}
         walls: dict[str, list[float]] = {side: [] for side in sides}
         digests: dict[str, set[str]] = {side: set() for side in sides}
-        for r in range(args.repeat):
+        for r in range(REPEAT):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for side in order:
                 run = _spawn(sides[side], case, counted=False)
@@ -149,7 +150,7 @@ def main() -> None:
             entry["change"]["wall_s_median"] / entry["parent"]["wall_s_median"], 3)
         result["cases"][case] = entry
         print(case, json.dumps(entry), flush=True)
-    with open(args.out, "w") as fh:
+    with open(OUT, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
 

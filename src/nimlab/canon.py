@@ -374,7 +374,8 @@ def enumerate_graphs(
     vertex); it must reject a graph only if every supergraph obtained by
     adding more vertices should also be rejected (hereditary filters such
     as pattern-freeness qualify), and it must judge two children alike
-    when an isomorphism between them fixes z.
+    when an isomorphism between them fixes z.  A predicate that reads
+    vertex labels breaks the second rule and can lose classes.
     """
     if n < 0:
         raise InvalidInputError("invalid-order", str(n))

@@ -176,6 +176,20 @@ def test_enumerate_matches_unpruned_augmentation(which):
         assert got == want
 
 
+def test_enumerate_labeled_predicate_can_lose_classes():
+    # a predicate must judge alike two children that an isomorphism fixing
+    # z maps onto each other.  "z avoids vertex 0" does not: on the parent
+    # 2K_1 it rejects mask {0}, and mask {1}, in the same orbit, is skipped,
+    # so K_2 + K_1 is never built.  The unpruned augmentation tries mask {1}.
+    def avoids_zero(g, z):
+        return not g.adj[z] & 1
+
+    got = [(g.n, g.adj) for g in enumerate_graphs(3, predicate=avoids_zero)]
+    want = [(g.n, g.adj) for g in oracle_enumerate_graphs(3, avoids_zero)]
+    assert got == [(3, (0, 0, 0))]
+    assert want == [(3, (0, 0, 0)), (3, (0, 4, 2))]
+
+
 def test_enumerate_rejects_bad_order():
     with pytest.raises(InvalidInputError):
         list(enumerate_graphs(-1))

@@ -2,11 +2,11 @@ import itertools
 import json
 import os
 import random
-from pathlib import Path
 
 import pytest
 
 from conftest import oracle_coloring_key, oracle_nim_flags
+from test_acceptance import GOLDEN_PATH
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
 from nimlab.monoscan import EdgeColoring, is_h_free, nim_edges
@@ -22,12 +22,16 @@ from nimlab.turan import clear_memo, ex_exact
 
 
 def _brute_f(n, pattern, k):
-    """Max NIM count over every labeled k-coloring; tiny n only."""
+    """Max NIM count over every labeled k-coloring of K_n, n >= 2; tiny n
+    only.  Permuting the colors keeps the NIM count, so edge (0, 1) is
+    fixed to color 1."""
     m = n * (n - 1) // 2
+    first = edge_index(n, 0, 1)
     best = 0
-    for assignment in itertools.product(range(1, k + 1), repeat=m):
-        col = EdgeColoring(n, k, list(assignment))
-        score = sum(oracle_nim_flags(col, pattern))
+    for rest in itertools.product(range(1, k + 1), repeat=m - 1):
+        colors = list(rest)
+        colors.insert(first, 1)
+        score = sum(oracle_nim_flags(EdgeColoring(n, k, colors), pattern))
         best = max(best, score)
     return best
 
@@ -55,19 +59,9 @@ def test_exact_matches_brute_small(k3, c4):
 @pytest.mark.parametrize("name,n", [("k3", 5), ("k3", 6), ("c4", 5), ("c4", 6)])
 def test_golden_rows_match_brute_force(name, n):
     # the golden table was written by f_exact; these rows are checked
-    # against every 2-coloring instead.  Swapping the two colors keeps the
-    # NIM count, so edge (0, 1) is fixed to color 1.
-    path = Path(__file__).parent / "goldens" / "f_two_color.json"
-    golden = json.loads(path.read_text())[name][str(n)]
-    pattern = build_pattern(name)
-    m = n * (n - 1) // 2
-    first = edge_index(n, 0, 1)
-    best = 0
-    for rest in itertools.product((1, 2), repeat=m - 1):
-        colors = list(rest)
-        colors.insert(first, 1)
-        best = max(best, sum(oracle_nim_flags(EdgeColoring(n, 2, colors), pattern)))
-    assert best == golden
+    # against every 2-coloring instead
+    golden = json.loads(GOLDEN_PATH.read_text())[name][str(n)]
+    assert _brute_f(n, build_pattern(name), 2) == golden
 
 
 def test_exact_three_color_matches_brute(k3):
