@@ -42,10 +42,6 @@ class CanonicalCode:
     def hex(self) -> str:
         return self.data.hex()
 
-    @classmethod
-    def from_hex(cls, text: str) -> "CanonicalCode":
-        return cls(bytes.fromhex(text))
-
     def __eq__(self, other):
         return isinstance(other, CanonicalCode) and self.data == other.data
 

@@ -1,10 +1,10 @@
 """Exact and heuristic maximization of the count of edges outside
 monochromatic pattern copies, over all k-colorings of K_n.
 
-The exact search is exhaustive and only feasible for tiny instances:
-two colors are handled by enumerating red graphs up to isomorphism and
-discarding one of each complementary pair, three colors by walking color
-vectors whose color names appear in first-use order.  The heuristic is
+The exact search is exhaustive and only feasible for tiny instances.
+It names the colors so that class sizes do not decrease, takes color 1
+from an isomorph-free enumeration of graphs with at most m/k edges, and
+splits the remaining edges among the other colors.  The heuristic is
 steepest-ascent single-edge recoloring restarted from the explicit
 constructions and then from random colorings.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .canon import CanonicalCode, canonical_code, enumerate_graphs
@@ -35,9 +36,8 @@ __all__ = [
     "EXACT_CEILINGS",
 ]
 
-# Largest n the exhaustive search accepts, per color count.  Both limits
-# are a compromise between coverage and runtime (two colors at n=9 means
-# 274668 host graphs, three colors at n=5 means 9842 color vectors).
+# Largest n the exhaustive search accepts, per color count: two colors
+# at n=9 score 154,354 colorings, three colors at n=6 would score 57,518.
 EXACT_CEILINGS = {2: 9, 3: 5}
 
 
@@ -101,66 +101,64 @@ def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
     return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)])
 
 
-def _exact_two_color(n: int, pattern: BipartitePattern):
-    """Score one host graph per complementary pair {R, complement(R)}.
+def _smallest_classes(n: int, k: int):
+    """One graph per isomorphism class with at most m // k edges.
 
-    Swapping the two colors never changes which edges avoid monochromatic
-    copies, so the pair member with fewer edges (canonical code breaking
-    ties) stands for both.
+    Every k-coloring class has a member whose class sizes do not decrease
+    with the color and whose color 1 is one of these graphs.  The edge
+    cap is hereditary and label-free, so the stream is the unfiltered
+    one minus the graphs above the cap.
+    """
+    cap = n * (n - 1) // 2 // k
+    return enumerate_graphs(n, ceiling=max(n, 10),
+                            predicate=lambda child, z: child.num_edges <= cap)
+
+
+def _optima(pattern: BipartitePattern, colorings):
+    """Best score over `colorings`, one coloring per optimal class, and
+    the number scored.
+
+    Ties are held as color bytes and deduplicated once at the end by
+    `_coloring_key`.
     """
     best = -1
-    optima: list[EdgeColoring] = []
+    ties: list[bytes] = []
     nodes = 0
-    for g in enumerate_graphs(n, ceiling=max(n, 10)):
-        comp = g.complement()
-        if comp.num_edges < g.num_edges:
-            continue
-        if comp.num_edges == g.num_edges and canonical_code(comp) < canonical_code(g):
-            continue
+    for col in colorings:
         nodes += 1
-        score = len(_graph_nim(g, pattern)) + len(_graph_nim(comp, pattern))
+        score = sum(_class_counts(col, pattern))
         if score > best:
-            best = score
-            optima = [EdgeColoring.from_graph(g, k=2)]
-        elif score == best:
-            optima.append(EdgeColoring.from_graph(g, k=2))
-    return best, optima, nodes
+            best, ties = score, []
+        if score == best:
+            ties.append(bytes(col.colors))
+    optima = {}
+    for colors in ties:
+        opt = EdgeColoring(col.n, col.k, colors)
+        optima.setdefault(_coloring_key(opt), opt)
+    return best, list(optima.values()), nodes
+
+
+def _exact_two_color(n: int, pattern: BipartitePattern):
+    """Color 1 is each smallest class, color 2 the rest."""
+    return _optima(pattern, (EdgeColoring.from_graph(g, k=2)
+                             for g in _smallest_classes(n, 2)))
 
 
 def _exact_three_color(n: int, pattern: BipartitePattern):
-    m = n * (n - 1) // 2
-    best = -1
-    raw: list[tuple[int, ...]] = []
-    nodes = 0
-    vec = [0] * m
+    """Split the rest of each smallest class into colors 2 and 3, color 2
+    no larger than color 3."""
+    def colorings():
+        for g in _smallest_classes(n, 3):
+            base = EdgeColoring.from_graph(g, k=3, outside=3).colors
+            rest = [i for i, c in enumerate(base) if c == 3]
+            for size in range(g.num_edges, len(rest) // 2 + 1):
+                for sub in combinations(rest, size):
+                    colors = base.copy()
+                    for i in sub:
+                        colors[i] = 2
+                    yield EdgeColoring(n, 3, colors)
 
-    def rec(i: int, used: int):
-        nonlocal best, nodes, raw
-        if i == m:
-            nodes += 1
-            coloring = EdgeColoring(n, 3, vec)
-            score = sum(_class_counts(coloring, pattern))
-            if score > best:
-                best = score
-                raw = [tuple(vec)]
-            elif score == best:
-                raw.append(tuple(vec))
-            return
-        for c in range(1, min(3, used + 1) + 1):
-            vec[i] = c
-            rec(i + 1, max(used, c))
-
-    rec(0, 0)
-
-    seen = set()
-    optima = []
-    for v in raw:
-        coloring = EdgeColoring(n, 3, list(v))
-        key = _coloring_key(coloring)
-        if key not in seen:
-            seen.add(key)
-            optima.append(coloring)
-    return best, optima, nodes
+    return _optima(pattern, colorings())
 
 
 def _check_search_args(n: int, pattern: BipartitePattern, k: int) -> None:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import oracle_coloring_key, oracle_nim_flags
 from test_acceptance import GOLDEN_PATH
+from nimlab.canon import enumerate_graphs
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
 from nimlab.monoscan import EdgeColoring, is_h_free, nim_edges
@@ -14,6 +15,7 @@ from nimlab.patterns import build_pattern
 from nimlab.search import (
     EXACT_CEILINGS,
     _coloring_key,
+    _smallest_classes,
     f_exact,
     f_heuristic,
     verify_extremal_characterization,
@@ -66,6 +68,18 @@ def test_golden_rows_match_brute_force(name, n):
 
 def test_exact_three_color_matches_brute(k3):
     assert f_exact(4, k3, 3).value == _brute_f(4, k3, 3)
+    # k1,2 stays below m = 10 at n = 5, so a lost coloring class can show
+    k12 = build_pattern("k1,2")
+    assert f_exact(5, k12, 3).value == _brute_f(5, k12, 3) == 4
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_smallest_classes_are_the_capped_enumeration(k):
+    for n in range(1, 8):
+        cap = n * (n - 1) // 2 // k
+        got = [(g.n, g.adj) for g in _smallest_classes(n, k)]
+        want = [(g.n, g.adj) for g in enumerate_graphs(n) if g.num_edges <= cap]
+        assert got == want, (n, k)
 
 
 def test_small_hosts_are_all_nim(k3, c4, k23):
@@ -128,19 +142,29 @@ def test_coloring_key_matches_oracle():
         assert len(set(oracle)) > 1
 
 
+def _check_optima_are_the_optimal_classes(n, pattern, k):
+    # score every labeled k-coloring of K_n by definition
+    scored = []
+    for colors in itertools.product(range(1, k + 1), repeat=n * (n - 1) // 2):
+        col = EdgeColoring(n, k, list(colors))
+        scored.append((sum(oracle_nim_flags(col, pattern)), col))
+    best = max(score for score, _ in scored)
+    optimal = {oracle_coloring_key(col) for score, col in scored if score == best}
+    rep = f_exact(n, pattern, k)
+    assert rep.value == best
+    keys = [oracle_coloring_key(col) for col in rep.colorings]
+    assert len(keys) == len(set(keys)) and set(keys) == optimal, pattern.name
+
+
 def test_three_color_optima_are_the_optimal_classes(k3, c4):
-    # score all 3^6 labeled colorings of K_4 by definition
     for pattern in (k3, c4):
-        scored = []
-        for colors in itertools.product((1, 2, 3), repeat=6):
-            col = EdgeColoring(4, 3, list(colors))
-            scored.append((sum(oracle_nim_flags(col, pattern)), col))
-        best = max(score for score, _ in scored)
-        optimal = {oracle_coloring_key(col) for score, col in scored if score == best}
-        rep = f_exact(4, pattern, 3)
-        assert rep.value == best
-        keys = [oracle_coloring_key(col) for col in rep.colorings]
-        assert len(keys) == len(set(keys)) and set(keys) == optimal, pattern.name
+        _check_optima_are_the_optimal_classes(4, pattern, 3)
+
+
+def test_two_color_optima_are_the_optimal_classes(c4, k23):
+    # n = 5 has classes of size m / 2, and k2,3 has 11 optimal classes
+    for pattern in (c4, k23):
+        _check_optima_are_the_optimal_classes(5, pattern, 2)
 
 
 def test_exact_ceilings_enforced(k3):
