@@ -78,10 +78,11 @@ def _mask(cell) -> int:
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], seeds=None) -> list[list[int]]:
-    """Coarsest equitable refinement of the ordered partition `cells`."""
+    """Coarsest equitable refinement of the ordered partition `cells`;
+    a discrete partition is returned as soon as it is reached."""
     cells = [list(c) for c in cells]
     queue = [_mask(c) for c in (cells if seeds is None else seeds)]
-    while queue:
+    while queue and len(cells) < len(adj):
         splitter = queue.pop()
         out = []
         for cell in cells:
@@ -367,10 +368,11 @@ def enumerate_graphs(
     """Stream one representative per isomorphism class on n vertices.
 
     `predicate(child, z)` prunes a just-augmented child (z is the new
-    vertex); it must reject a graph only if every supergraph obtained by
-    adding more vertices should also be rejected (hereditary filters such
-    as pattern-freeness qualify), and it must judge two children alike
-    when an isomorphism between them fixes z.  A predicate that reads
+    vertex); it must reject a graph only if no graph to be kept reaches it
+    by deleting canonical-last vertices, which have top degree (hereditary
+    filters such as pattern-freeness qualify, and so does the edge floor
+    of `turan._enum_ex`), and it must judge two children alike when an
+    isomorphism between them fixes z.  A predicate that reads
     vertex labels breaks the second rule and can lose classes.
     """
     if n < 0:

@@ -11,7 +11,6 @@ This ordering is shared by coloring files and NIM flag vectors.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .errors import InvalidInputError
@@ -249,39 +248,3 @@ def decode_graph6(text: str) -> SimpleGraph:
                 rows[v] |= 1 << u
             idx += 1
     return SimpleGraph(n, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force isomorphism helpers. Deliberately naive: these are the oracles
-# the clever code is validated against, so they stay independent of it.
-# ---------------------------------------------------------------------------
-
-def isomorphic_brute(g: SimpleGraph, h: SimpleGraph) -> bool:
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    target = h.adj
-    for perm in itertools.permutations(range(g.n)):
-        if g.relabel(perm).adj == target:
-            return True
-    return False
-
-
-def automorphisms_brute(g: SimpleGraph) -> list[tuple[int, ...]]:
-    return [p for p in itertools.permutations(range(g.n)) if g.relabel(p).adj == g.adj]
-
-
-def orbits_brute(g: SimpleGraph) -> list[int]:
-    """Vertex orbit labels (smallest member of each orbit) under Aut(g)."""
-    label = list(range(g.n))
-    for p in automorphisms_brute(g):
-        for v in range(g.n):
-            a, b = v, p[v]
-            ra, rb = label[a], label[b]
-            if ra != rb:
-                lo, hi = min(ra, rb), max(ra, rb)
-                for u in range(g.n):
-                    if label[u] == hi:
-                        label[u] = lo
-    return label

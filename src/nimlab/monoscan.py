@@ -4,7 +4,8 @@ An edge e of a k-colored K_n is NIM for a pattern H when no monochromatic
 copy of H uses e; such a copy would have to live in the color class of e,
 so scanning one class per edge suffices.  The matcher pins a pattern edge
 onto the queried edge, one pinned plan per orbit of directed pattern edges,
-and extends by intersecting neighborhood bitmasks.
+and extends by intersecting neighborhood bitmasks, placing unpinned twin
+pattern vertices on increasing host vertices.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def _extend(rows: list[int], plan: PinPlan, assign: list[int], used: int, pos: i
         m &= rows[assign[p]]
     if allowed is not None:
         m &= allowed[order[pos]]
+    twin = plan.twins[pos]
+    if twin >= 0:
+        m &= -2 << assign[twin]
     while m:
         w = (m & -m).bit_length() - 1
         m &= m - 1
@@ -184,7 +188,8 @@ def contains_copy(g: SimpleGraph, pattern: BipartitePattern,
     """Whether g contains the pattern as a subgraph (not induced).
 
     `allowed`, if given, maps each pattern vertex to a bitmask of host
-    vertices it may occupy; used for side-constrained containment.
+    vertices it may occupy; used for side-constrained containment.  Twins
+    (same neighborhood, same side) must get the same mask.
     """
     if pattern.h > g.n:
         return False

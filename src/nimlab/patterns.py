@@ -23,13 +23,17 @@ class PinPlan(NamedTuple):
 
     order: pattern vertices, the first `len(pins)` of which are pinned.
     preds: for each position, positions (into order) of earlier neighbors.
+    twins: for each position, the position of the previous unpinned twin
+    (same neighborhood, same side), or -1.  Swapping twins' images gives
+    another copy, so the matcher places twins on increasing host vertices.
     """
 
     order: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
+    twins: tuple[int, ...]
 
 
-def _plan(graph: SimpleGraph, pinned: tuple[int, ...]) -> PinPlan:
+def _plan(graph: SimpleGraph, pinned: tuple[int, ...], xside: tuple[int, ...]) -> PinPlan:
     n = graph.n
     order = list(pinned)
     placed = set(order)
@@ -46,9 +50,13 @@ def _plan(graph: SimpleGraph, pinned: tuple[int, ...]) -> PinPlan:
         order.append(best)
         placed.add(best)
     preds = []
+    twins = []
     for i, v in enumerate(order):
         preds.append(tuple(j for j in range(i) if graph.has_edge(order[j], v)))
-    return PinPlan(tuple(order), tuple(preds))
+        twins.append(max((j for j in range(len(pinned), i)
+                          if graph.adj[order[j]] == graph.adj[v]
+                          and (order[j] in xside) == (v in xside)), default=-1))
+    return PinPlan(tuple(order), tuple(preds), tuple(twins))
 
 
 class BipartitePattern:
@@ -173,12 +181,12 @@ class BipartitePattern:
 
     @cached_property
     def pin_plans(self) -> tuple[PinPlan, ...]:
-        return tuple(_plan(self.graph, rep) for rep in self.directed_edge_reps)
+        return tuple(_plan(self.graph, rep, self.X) for rep in self.directed_edge_reps)
 
     @cached_property
     def free_plan(self) -> PinPlan:
         root = max(range(self.graph.n), key=lambda v: (self.graph.degree(v), -v))
-        return _plan(self.graph, (root,))
+        return _plan(self.graph, (root,), self.X)
 
     def __repr__(self):
         return f"BipartitePattern({self.name}, h={self.h}, m={self.num_edges})"

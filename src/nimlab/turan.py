@@ -1,11 +1,12 @@
 """Exact extremal edge counts for a forbidden pattern, with witnesses.
 
 Values are routed by pattern shape and host size: closed forms where the
-extremal structure is classical (cliques, stars), a degree-sequence branch
-and bound for two-row bicliques, isomorph-free exhaustive enumeration for
+extremal structure is classical (cliques, stars), one exact search for
 everything else small, and a deterministic greedy lower bound past the
-exact ceilings.  The one-sided variant constrains copies to place a chosen
-side of the pattern inside the first part of a bipartite host.
+exact ceilings.  The exact search (`_enum_ex`) descends over edge levels
+with isomorph-free enumeration of complements, so each answer comes with
+every extremal class.  The one-sided variant constrains copies to place a
+chosen side of the pattern inside the first part of a bipartite host.
 
 Both entry points find a record the same way (`_recall`): the in-process
 memo, then a shared line-oriented cache file, then the routes, whose
@@ -26,7 +27,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .canon import canonical_form, enumerate_graphs
+from .canon import canonical_form, canonical_graph, enumerate_graphs
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import SimpleGraph, bits_to_list, decode_graph6, encode_graph6
 from .monoscan import _copy_through, contains_copy, is_h_free
@@ -148,6 +149,12 @@ def _capped_degree_witness(n: int, d: int) -> SimpleGraph:
 # ---------------------------------------------------------------------------
 
 def _pattern_free_predicate(pattern: BipartitePattern):
+    """`enumerate_graphs` predicate: the child has no copy through the new
+    vertex z.  A copy can use z without an edge at z only as an isolated
+    pattern vertex, so patterns with one check the whole child."""
+    if 0 in pattern.graph.degrees():
+        return lambda child, z: not contains_copy(child, pattern)
+
     def pred(child: SimpleGraph, z: int) -> bool:
         for u in bits_to_list(child.adj[z]):
             if _copy_through(child.adj, pattern, z, u):
@@ -158,23 +165,41 @@ def _pattern_free_predicate(pattern: BipartitePattern):
 
 
 def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
-    best = -1
-    wits: list[SimpleGraph] = []
-    for g in enumerate_graphs(n, ceiling=ENUM_CEILING,
-                              predicate=_pattern_free_predicate(pattern)):
-        m = g.num_edges
-        if m > best:
-            best, wits = m, [g]
-        elif m == best:
-            wits.append(g)
-    complete = len(wits) <= WITNESS_CAP
-    codes = tuple(encode_graph6(w) for w in wits[:WITNESS_CAP])
-    return TuranRecord("ex", pattern.name, fp, n, best, True, "enumeration",
-                       codes, complete)
+    """ex(n, H) and its extremal classes by an edge-floored descent.
+
+    ex(v) is found for v = 2..n in turn, trying levels m from the
+    averaging bound v·ex(v-1)/(v-2) down; the first level with a graph of
+    at least m edges gives ex(v), and its graphs are every extremal class.
+    A level enumerates complements, whose canonical-last vertex has top
+    degree there, so a minimum degree in the graph itself.  Deleting it
+    leaves at least L(u-1) = L(u) - floor(2L(u)/u) of L(u) edges, so every
+    ancestor of a graph on v vertices with L(v) = m edges keeps L(u).
+    """
+    free = _pattern_free_predicate(pattern)
+    value, wits = 0, [SimpleGraph.empty(n)]
+    for v in range(2, n + 1):
+        top = comb(v, 2) if v == 2 else min(comb(v, 2), v * value // (v - 2))
+        for value in range(top, -1, -1):
+            floor = {v: value}
+            for u in range(v, 1, -1):
+                floor[u - 1] = floor[u] - 2 * floor[u] // u
+
+            def pred(child: SimpleGraph, z: int, floor=floor) -> bool:
+                return (child.num_edges <= comb(child.n, 2) - floor[child.n]
+                        and free(child.complement(), z))
+
+            wits = [g.complement() for g in enumerate_graphs(v, ceiling=v, predicate=pred)]
+            if wits:
+                break
+    codes = sorted(encode_graph6(canonical_graph(w)) for w in wits)
+    return TuranRecord("ex", pattern.name, fp, n, value, True, "enumeration",
+                       tuple(codes[:WITNESS_CAP]), len(codes) <= WITNESS_CAP)
 
 
 # ---------------------------------------------------------------------------
 # Degree-sequence branch and bound for K_{2,t}-free hosts.
+#
+# Off the route; kept as a test reference and for the benchmark tracer.
 #
 # A graph omits K_{2,t} exactly when every vertex pair has at most t-1
 # common neighbors, so sum(C(d_v, 2)) <= (t-1) C(n, 2) and, for each v,
@@ -442,8 +467,9 @@ def _recall(kind: str, pattern: BipartitePattern, m: Optional[int], n: int,
 
 def _compute_ex(n: int, pattern: BipartitePattern, fp: str, seed: int) -> TuranRecord:
     """The first route that applies: the complete graph when it is already
-    free, the clique and star closed forms, the K_{2,t} branch and bound,
-    enumeration, and past the ceilings the greedy lower bound."""
+    free, the clique and star closed forms, the descent (`_enum_ex`) up to
+    BNB_CEILING for K_{2,t} and ENUM_CEILING otherwise, and past the
+    ceilings the greedy lower bound."""
     g = pattern.graph
     if not contains_copy(SimpleGraph.complete(n), pattern):
         w = SimpleGraph.complete(n)
@@ -461,9 +487,7 @@ def _compute_ex(n: int, pattern: BipartitePattern, fp: str, seed: int) -> TuranR
         return TuranRecord("ex", pattern.name, fp, n, n * d // 2, True,
                            "formula-star", (encode_graph6(w),), d == 0)
     t = detect_biclique_two_side(g)
-    if t is not None and t >= 2 and n <= BNB_CEILING:
-        return _bnb_kst(n, t, pattern, fp)
-    if n <= ENUM_CEILING:
+    if n <= (BNB_CEILING if t is not None and t >= 2 else ENUM_CEILING):
         return _enum_ex(n, pattern, fp)
     return _greedy_lower_bound(n, pattern, fp, seed=seed)
 

@@ -9,10 +9,11 @@ import itertools
 
 import pytest
 
-from nimlab.canon import _refine, canonical_form
+from nimlab.canon import _refine, canonical_code, canonical_form, enumerate_graphs
 from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
 from nimlab.monoscan import EdgeColoring
 from nimlab.patterns import BipartitePattern, build_pattern
+from nimlab.turan import _pattern_free_predicate
 
 
 def oracle_nim_flags(coloring: EdgeColoring, pattern: BipartitePattern) -> list[bool]:
@@ -97,6 +98,53 @@ def oracle_enumerate_graphs(n: int, predicate=None):
 
 def oracle_mono_free(coloring: EdgeColoring, pattern: BipartitePattern) -> bool:
     return all(oracle_nim_flags(coloring, pattern))
+
+
+def oracle_ex(n: int, pattern: BipartitePattern) -> tuple[int, set[bytes]]:
+    """ex(n, H) and the canonical codes of its extremal classes, from the
+    full isomorph-free enumeration of H-free graphs on n >= 1 vertices."""
+    best, classes = -1, set()
+    for g in enumerate_graphs(n, ceiling=n, predicate=_pattern_free_predicate(pattern)):
+        if g.num_edges > best:
+            best, classes = g.num_edges, set()
+        if g.num_edges == best:
+            classes.add(canonical_code(g).data)
+    return best, classes
+
+
+# Brute-force isomorphism helpers.  Deliberately naive: these are the
+# oracles the clever code is validated against, so they stay independent
+# of it.
+
+def isomorphic_brute(g: SimpleGraph, h: SimpleGraph) -> bool:
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    target = h.adj
+    for perm in itertools.permutations(range(g.n)):
+        if g.relabel(perm).adj == target:
+            return True
+    return False
+
+
+def automorphisms_brute(g: SimpleGraph) -> list[tuple[int, ...]]:
+    return [p for p in itertools.permutations(range(g.n)) if g.relabel(p).adj == g.adj]
+
+
+def orbits_brute(g: SimpleGraph) -> list[int]:
+    """Vertex orbit labels (smallest member of each orbit) under Aut(g)."""
+    label = list(range(g.n))
+    for p in automorphisms_brute(g):
+        for v in range(g.n):
+            a, b = v, p[v]
+            ra, rb = label[a], label[b]
+            if ra != rb:
+                lo, hi = min(ra, rb), max(ra, rb)
+                for u in range(g.n):
+                    if label[u] == hi:
+                        label[u] = lo
+    return label
 
 
 @pytest.fixture

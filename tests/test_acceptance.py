@@ -22,12 +22,12 @@ from nimlab.constructions import (
     permuted_overlay_coloring,
 )
 from nimlab.errors import NotApplicableError
-from nimlab.graphs import SimpleGraph, edge_pairs, isomorphic_brute
+from nimlab.graphs import SimpleGraph, edge_pairs
 from nimlab.monoscan import EdgeColoring, is_h_free, nim_edges
 from nimlab.patterns import build_pattern
 from nimlab.turan import ex_exact
 
-from conftest import oracle_nim_flags
+from conftest import isomorphic_brute, oracle_nim_flags
 
 K3 = build_pattern("k3")
 C4 = build_pattern("c4")
@@ -234,7 +234,7 @@ def test_criterion_5_overlay_packing():
     detail = ""
 
     rec = ex_exact(12, C4)
-    if rec.value != 21 or not rec.exact or rec.method != "degree-bnb":
+    if rec.value != 21 or not rec.exact or rec.method != "enumeration":
         ok, detail = False, f"ex(12) came back {rec.value} via {rec.method}"
 
     if ok:

@@ -14,15 +14,14 @@ from nimlab.canon import (
 from nimlab.errors import InvalidInputError
 from nimlab.patterns import build_pattern
 from nimlab.turan import _pattern_free_predicate
-from nimlab.graphs import (
-    SimpleGraph,
+from nimlab.graphs import SimpleGraph, edge_pairs
+
+from conftest import (
     automorphisms_brute,
-    edge_pairs,
     isomorphic_brute,
+    oracle_enumerate_graphs,
     orbits_brute,
 )
-
-from conftest import oracle_enumerate_graphs
 
 
 def _random_graph(rng, n):

@@ -12,8 +12,9 @@ from nimlab.graphs import (
     edge_index,
     edge_pairs,
     encode_graph6,
-    isomorphic_brute,
 )
+
+from conftest import isomorphic_brute
 
 
 def test_edge_index_order():

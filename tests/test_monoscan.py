@@ -66,7 +66,7 @@ def test_from_graph_classes():
 
 def test_nim_matches_oracle_small_random():
     rng = random.Random(101)
-    pats = [build_pattern(s) for s in ("k3", "c4", "k2,3")]
+    pats = [build_pattern(s) for s in ("k3", "c4", "k2,3", "k2,4", "k3,3")]
     for _ in range(120):
         n = rng.randrange(2, 8)
         k = rng.randint(2, 3)
@@ -133,7 +133,7 @@ def test_pattern_larger_than_host_means_all_nim(c4):
 
 def test_is_h_free_matches_oracle():
     rng = random.Random(91)
-    pats = [build_pattern(s) for s in ("k3", "c4", "k2,3", "c6")]
+    pats = [build_pattern(s) for s in ("k3", "c4", "k2,3", "c6", "k2,4", "k3,3")]
     for _ in range(60):
         n = rng.randrange(1, 8)
         rows = [0] * n

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nimlab.errors import InvalidInputError
-from nimlab.graphs import SimpleGraph, isomorphic_brute
+from nimlab.graphs import SimpleGraph
 from nimlab.monoscan import contains_copy
 from nimlab.patterns import (
     BipartitePattern,
@@ -12,6 +12,8 @@ from nimlab.patterns import (
     detect_star,
     parse_pattern,
 )
+
+from conftest import isomorphic_brute
 
 
 def test_family_names():
@@ -120,7 +122,7 @@ def test_contains_copy_matches_oracle(c4, k23):
     from conftest import oracle_is_free
 
     rng = random.Random(77)
-    for pat in (c4, k23, build_pattern("k3"), build_pattern("c6")):
+    for pat in (c4, k23, *map(build_pattern, ("k3", "c6", "k2,4", "k3,3"))):
         for _ in range(40):
             n = rng.randrange(1, 8)
             rows = [0] * n

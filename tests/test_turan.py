@@ -1,16 +1,18 @@
+import importlib.util
 import itertools
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 import nimlab.turan
-from conftest import oracle_is_free
+from conftest import oracle_ex, oracle_is_free
 from nimlab.canon import canonical_code
 from nimlab.errors import InvalidInputError, ResourceLimitError
-from nimlab.graphs import SimpleGraph, decode_graph6, edge_pairs, isomorphic_brute
+from nimlab.graphs import SimpleGraph, decode_graph6, edge_pairs
 from nimlab.monoscan import is_h_free
-from nimlab.patterns import BipartitePattern, build_pattern
+from nimlab.patterns import BipartitePattern, build_pattern, parse_pattern
 from nimlab.turan import (
     TuranCache,
     _bnb_kst,
@@ -42,15 +44,28 @@ def _brute_ex(n, pattern):
     return best
 
 
-KNOWN_C4 = {2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11, 9: 13, 10: 16, 11: 18, 12: 21}
+def _published_oracle():
+    """perfbench/oracle.py, loaded read-only by path: its tables (OEIS
+    A006855 for C4) share no code with nimlab."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def test_known_c4_values(c4):
-    for n, want in KNOWN_C4.items():
-        if n >= 11:
-            continue  # the n=12 run is exercised by the acceptance suite
+    oracle = _published_oracle()
+    for n in range(2, 13):
         rec = ex_exact(n, c4)
-        assert rec.value == want and rec.exact
+        assert rec.value == oracle.ex_c4(n) and rec.exact, n
+
+
+def test_k26_on_eleven_vertices():
+    # out of reach of the degree branch and bound's node budgets
+    rec = ex_exact(11, build_pattern("k2,6"))
+    assert rec.value == 38 and rec.exact
+    assert len(rec.witnesses) == 24 and rec.witnesses_complete
 
 
 def test_mantel_values(k3):
@@ -81,7 +96,14 @@ def test_star_formula_matches_enumeration():
 
 
 def test_brute_force_agreement_tiny(k3, c4, k23):
-    for pattern in (k3, c4, k23, build_pattern("c6")):
+    # the last three have isolated vertices: a copy may use the new vertex
+    # of an augmentation with no edge at it, and ex(n) can fall as n grows
+    square = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    isolated = [parse_pattern(d) for d in (
+        {"n": 3, "edges": [[0, 1]]},
+        {"n": 4, "edges": [[0, 1], [1, 2]]},
+        {"n": 5, "edges": square, "X": [0, 2, 4], "Y": [1, 3]})]
+    for pattern in (k3, c4, k23, build_pattern("c6"), *isolated):
         for n in range(1, 6):
             assert ex_exact(n, pattern).value == _brute_ex(n, pattern), (pattern.name, n)
 
@@ -95,9 +117,9 @@ def _assert_same_record(bnb, enum):
 
 
 def test_regime_cross_validation_c4(c4):
-    # the degree branch-and-bound and the isomorphism-class enumeration are
-    # independent exact routes; they must agree on the value and on the
-    # extremal classes wherever both run
+    # the degree branch and bound (kept off the route, as a reference) and
+    # the edge-floored descent are independent exact searches; they must
+    # agree on the value and on the extremal classes at small n
     fp = c4.graph_code.hex()
     for n in range(4, 9):
         _assert_same_record(_bnb_kst(n, 2, c4, fp), _enum_ex(n, c4, fp))
@@ -144,7 +166,7 @@ def test_witnesses_verify(k3, c4, k23):
                 assert is_h_free(w, pattern)
 
 
-def test_complete_witness_lists_match_brute_classes(c4):
+def test_complete_witness_lists_match_brute_classes(c4, k23):
     # when the record claims completeness, the witness list is exactly the
     # extremal isomorphism classes
     for n in range(4, 8):
@@ -161,6 +183,16 @@ def test_complete_witness_lists_match_brute_classes(c4):
         assert sorted(c.data for c in extremal) == sorted(
             canonical_code(w).data for w in wits
         )
+    # larger n against every H-free class; ex(9, C4) has ten extremal
+    # classes and ex(10, C4) two
+    for pattern, ns in ((c4, range(8, 11)), (k23, range(5, 9))):
+        for n in ns:
+            rec = ex_exact(n, pattern)
+            assert rec.witnesses_complete, (pattern.name, n)
+            value, classes = oracle_ex(n, pattern)
+            assert rec.value == value, (pattern.name, n)
+            assert {canonical_code(w).data for w in rec.witness_graphs()} == classes, (pattern.name, n)
+            assert len(rec.witnesses) == len(classes)
 
 
 def test_monotone_in_n(c4, k23):
@@ -233,6 +265,8 @@ def test_ex_star_matches_brute(c4, k23):
         (c4.reduced(), [(1, 2), (2, 2), (3, 3), (2, 4)]),
         (k23.reduced(), [(2, 3), (3, 3), (3, 4)]),
         (build_pattern("c6").reduced(), [(2, 3), (3, 3), (3, 4)]),
+        # twin Y vertices under side masks
+        (build_pattern("k3,3").reduced(), [(2, 3), (3, 3), (3, 4)]),
     ]
     for rp, sizes in cases:
         for m, n in sizes:
