@@ -276,10 +276,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built on the first `main` call and reused: `parse_args` leaves the parser
+# unchanged and returns a fresh namespace, so no state carries between calls.
+_PARSER: Optional[_Parser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         doc = args.handler(args)
     except NimlabError as exc:
         print(json.dumps({"error": exc.reason, "detail": exc.detail}, sort_keys=True))

@@ -11,8 +11,8 @@ chosen side of the pattern inside the first part of a bipartite host.
 Both entry points find a record the same way (`_recall`): the in-process
 memo, then a shared line-oriented cache file, then the routes, whose
 record the cache stores if it is exact and has witnesses.  Cached
-witnesses are re-verified on every lookup and the record is discarded if
-anything fails to check out.
+witnesses are verified once per distinct file content and key, and the
+record is discarded if anything fails to check out.
 """
 
 from __future__ import annotations
@@ -633,39 +633,92 @@ def ex_star_exact(m: int, n: int, rp: BipartitePattern, *,
 # Shared cache file: one JSON record per line, advisory-locked.
 # ---------------------------------------------------------------------------
 
+class _Index:
+    """One cache file's bytes, its records grouped by (kind, fp, n, m) in
+    file order, and the last-valid-record verdict of each key looked up.
+    A plain class: a dataclass costs about 15 KB more per import."""
+
+    __slots__ = ("data", "lines", "docs", "verdicts")
+
+    def __init__(self, data: bytes, lines: int, docs: dict, verdicts: dict):
+        self.data, self.lines, self.docs, self.verdicts = data, lines, docs, verdicts
+
+
+# Cache path -> index of the content last read there.  An entry is replaced,
+# never changed, except that verdicts are filled in, and a verdict is a pure
+# function of the bytes and the key, so a stale entry is never wrong for the
+# bytes it holds.
+_INDEX: dict[str, _Index] = {}
+
+
+def _is_saturated(g: SimpleGraph, pattern: BipartitePattern) -> bool:
+    """Whether adding any non-edge to the pattern-free g makes a copy, as
+    it must when g is extremal."""
+    for u, v in g.complement().edges():
+        rows = list(g.adj)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        if not _copy_through(rows, pattern, u, v):
+            return False
+    return True
+
+
 class TuranCache:
     """Line-oriented record store keyed by pattern fingerprint and sizes.
 
     Only exact records with witnesses are stored; `put` alone decides
-    that.  Lookups re-verify every witness (order, edge count, the parts
-    of a one-sided host, freeness) and drop a record that fails with a
-    logged warning, so a tampered or stale file degrades to recomputation.
+    that.  Every lookup re-reads the file, but each distinct content is
+    parsed and verified once per process: a record's witnesses are checked
+    (order, edge count, the parts of a one-sided host, freeness, and for ex
+    that no edge can be added) on the first lookup of its key, and a record
+    that fails is dropped with a logged warning, so a tampered or stale
+    file degrades to recomputation.
     """
 
     def __init__(self, path):
         self.path = str(path)
 
-    def _read_all(self) -> list[dict]:
+    def _read(self) -> bytes:
         if not os.path.exists(self.path):
-            return []
-        out = []
-        with open(self.path, "r", encoding="ascii") as fh:
+            return b""
+        with open(self.path, "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
             try:
-                for ln, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        doc = json.loads(line)
-                        if not isinstance(doc, dict):
-                            raise ValueError("not an object")
-                        out.append(doc)
-                    except ValueError as exc:
-                        log.warning("cache %s line %d unreadable: %s", self.path, ln, exc)
+                return fh.read()
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
-        return out
+
+    def _index(self) -> _Index:
+        """The index of the file's current bytes.  `put` only appends, so
+        bytes that extend the indexed ones after a line end add records:
+        only that tail is parsed, and only the verdicts of its keys drop.
+        Any other change rebuilds the index."""
+        data = self._read()
+        old = _INDEX.get(self.path)
+        if old is not None and old.data == data:
+            return old
+        if old is None or not (old.data.endswith(b"\n") and data.startswith(old.data)):
+            old = _Index(b"", 0, {}, {})
+        tail = data[len(old.data):].splitlines()
+        docs, verdicts = dict(old.docs), dict(old.verdicts)
+        for ln, line in enumerate(tail, old.lines + 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line.decode("ascii"))
+                if not isinstance(doc, dict):
+                    raise ValueError("not an object")
+            except ValueError as exc:
+                log.warning("cache %s line %d unreadable: %s", self.path, ln, exc)
+                continue
+            key = (doc.get("kind"), doc.get("fp"), doc.get("n"), doc.get("m"))
+            try:
+                docs[key] = docs.get(key, ()) + (doc,)
+            except TypeError:  # an unhashable field equals no lookup key
+                continue
+            verdicts.pop(key, None)
+        new = _INDEX[self.path] = _Index(data, old.lines + len(tail), docs, verdicts)
+        return new
 
     def _validate(self, doc: dict, pattern: BipartitePattern,
                   m: Optional[int], n: int) -> Optional[TuranRecord]:
@@ -697,21 +750,23 @@ class TuranCache:
             if found:
                 log.warning("cache witness failed verification; recomputing")
                 return None
+            if kind == "ex" and not _is_saturated(g, pattern):
+                log.warning("cache witness is not edge-maximal; recomputing")
+                return None
         return TuranRecord(kind, doc.get("pattern", pattern.name), fp, n,
                            value, True, doc.get("method", "cache"),
                            tuple(wits), bool(doc.get("complete")), m=m)
 
     def get(self, kind: str, pattern: BipartitePattern,
             m: Optional[int], n: int) -> Optional[TuranRecord]:
-        fp = _fingerprint(kind, pattern)
-        hits = [doc for doc in self._read_all()
-                if (doc.get("kind") == kind and doc.get("fp") == fp
-                    and doc.get("n") == n and doc.get("m") == m)]
-        for doc in reversed(hits):
-            rec = self._validate(doc, pattern, m, n)
-            if rec is not None:
-                return rec
-        return None
+        """The last record for the key whose witnesses verify, or None."""
+        key = (kind, _fingerprint(kind, pattern), n, m)
+        index = self._index()
+        if key not in index.verdicts:
+            recs = (self._validate(doc, pattern, m, n)
+                    for doc in reversed(index.docs.get(key, ())))
+            index.verdicts[key] = next((rec for rec in recs if rec is not None), None)
+        return index.verdicts[key]
 
     def put(self, rec: TuranRecord) -> None:
         if not rec.exact or not rec.witnesses:

@@ -270,6 +270,34 @@ def test_reports_are_byte_identical(capsys):
     assert a == b
 
 
+def test_shared_parser_carries_no_state(capsys, tmp_path, monkeypatch):
+    import nimlab.cli as cli
+
+    report = tmp_path / "report.txt"
+    calls = [
+        ("--format", "tabular", "--out", str(report), "ex", "--n", "5", "--pattern", "k3"),
+        ("ex", "--n", "five", "--pattern", "k3"),
+        ("ex", "--n", "5", "--pattern", "k3"),
+    ]
+
+    def outputs(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            code, out = run(capsys, *argv)
+            got.append((code, out, report.read_text() if report.exists() else None))
+            report.unlink(missing_ok=True)
+        return got
+
+    run(capsys, "reduce", "--pattern", "c4")
+    shared = cli._PARSER
+    reused = outputs(fresh=False)
+    assert cli._PARSER is shared is not None
+    assert [code for code, _, _ in reused] == [0, 3, 0]
+    assert reused == outputs(fresh=True)
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out = run(

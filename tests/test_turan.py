@@ -1,6 +1,8 @@
+import dataclasses
 import importlib.util
 import itertools
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -10,14 +12,16 @@ import nimlab.turan
 from conftest import oracle_ex, oracle_is_free
 from nimlab.canon import canonical_code
 from nimlab.errors import InvalidInputError, ResourceLimitError
-from nimlab.graphs import SimpleGraph, decode_graph6, edge_pairs
+from nimlab.graphs import SimpleGraph, decode_graph6, edge_pairs, encode_graph6
 from nimlab.monoscan import is_h_free
 from nimlab.patterns import BipartitePattern, build_pattern, parse_pattern
 from nimlab.turan import (
     TuranCache,
+    TuranRecord,
     _bnb_kst,
     _enum_ex,
     _exstar_search,
+    _fingerprint,
     clear_memo,
     default_cache,
     ex_exact,
@@ -400,6 +404,93 @@ def test_cache_put_ignores_inexact_records(tmp_path):
     cache.put(rec)
     assert not path.exists()
     assert cache.get("ex", c6, None, 14) is None
+
+
+def test_cache_rejects_witness_that_is_not_edge_maximal(tmp_path, c4, caplog):
+    # a forged ex(8, C4) = 8 whose witness, C8, is C4-free but takes a chord
+    # between opposite vertices without making a C4
+    cache = TuranCache(tmp_path / "t.jsonl")
+    c8 = SimpleGraph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    assert is_h_free(c8, c4)
+    cache.put(TuranRecord("ex", c4.name, _fingerprint("ex", c4), 8, 8, True,
+                          "forged", (encode_graph6(c8),), True))
+    with caplog.at_level(logging.WARNING, logger="nimlab.turan"):
+        assert cache.get("ex", c4, None, 8) is None
+    assert "not edge-maximal" in caplog.text
+    rec = ex_exact(8, c4, cache=cache)
+    assert rec.exact and rec.value == 11
+    assert cache.get("ex", c4, None, 8) == rec
+
+
+# A 6-vertex graph with ex(6, C4) = 7 edges that holds a C4: K4 plus a pendant edge.
+_K4_PLUS_EDGE = encode_graph6(SimpleGraph.from_edges(
+    6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))
+
+
+def test_cache_index_sees_same_size_rewrite(tmp_path, c4):
+    path = tmp_path / "t.jsonl"
+    cache = TuranCache(path)
+    rec = ex_exact(6, c4, cache=cache)
+    assert cache.get("ex", c4, None, 6) == rec
+    before = os.stat(path)
+    doc = json.loads(path.read_text())
+    doc["witnesses"] = [_K4_PLUS_EDGE] * len(doc["witnesses"])
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    # same size and same mtime: only the content tells the rewrite apart
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size
+    assert cache.get("ex", c4, None, 6) is None
+
+
+def test_cache_index_appended_line_for_same_key_takes_over(tmp_path, c4):
+    cache = TuranCache(tmp_path / "t.jsonl")
+    rec = ex_exact(6, c4, cache=cache)
+    assert cache.get("ex", c4, None, 6) == rec
+    cache.put(dataclasses.replace(rec, method="appended"))
+    assert cache.get("ex", c4, None, 6).method == "appended"
+    # a later line that fails verification leaves the last valid one in charge
+    cache.put(dataclasses.replace(rec, witnesses=(_K4_PLUS_EDGE,)))
+    assert cache.get("ex", c4, None, 6).method == "appended"
+
+
+def test_cache_index_keeps_verdicts_of_untouched_keys(tmp_path, c4, monkeypatch):
+    cache = TuranCache(tmp_path / "t.jsonl")
+    ex_exact(6, c4, cache=cache)
+    first = cache.get("ex", c4, None, 6)
+    validated = []
+    validate = TuranCache._validate
+
+    def counting(self, doc, *args):
+        validated.append(doc["n"])
+        return validate(self, doc, *args)
+
+    monkeypatch.setattr(TuranCache, "_validate", counting)
+    cache.put(ex_exact(5, c4))
+    assert TuranCache(cache.path).get("ex", c4, None, 6) is first
+    assert cache.get("ex", c4, None, 5).value == 6
+    assert validated == [5]
+
+
+def test_cache_rejection_warns_once_per_content(tmp_path, c4, caplog):
+    path = tmp_path / "t.jsonl"
+    cache = TuranCache(path)
+    ex_exact(6, c4, cache=cache)
+    doc = json.loads(path.read_text())
+    doc["witnesses"] = [_K4_PLUS_EDGE]
+    line = json.dumps(doc, sort_keys=True) + "\n"
+
+    def warnings():
+        return [r for r in caplog.records if "failed verification" in r.getMessage()]
+
+    with caplog.at_level(logging.WARNING, logger="nimlab.turan"):
+        path.write_text(line)
+        for c in (cache, cache, TuranCache(path)):
+            assert c.get("ex", c4, None, 6) is None
+        assert len(warnings()) == 1
+        path.write_text("\n" + line)
+        for c in (cache, TuranCache(path)):
+            assert c.get("ex", c4, None, 6) is None
+        assert len(warnings()) == 2
 
 
 def test_default_cache_env(tmp_path, monkeypatch, c4):
