@@ -1,6 +1,6 @@
 """CLI fixed costs, before and after: per-command wall time and work counts.
 
-    python3 bench/cli_fixed_cost.py --parent PATH
+    python3 bench/cli_fixed_cost.py --parent PATH [--out FILE]
 
 PATH is a checkout of the commit to compare against (`git archive` of it
 unpacked somewhere will do); this checkout is the change.  Each case runs
@@ -21,13 +21,16 @@ unwrapped.
 One more run per side and case installs the benchmark tracer
 (`perfbench/tracer.py`, read-only) and counts work that does not depend on
 the machine: parsers built (`cli.build_parser` calls), cache lines
-JSON-decoded (`json.loads` calls in `turan`), and `TuranCache._validate`
-and `TuranCache.get` calls.  On `cli-warm-cache` the counts cover the first
-pass after set-up; set-up itself filled the cache through `TuranCache`.
+JSON-decoded (`json.loads` calls in `turan`), `canon.canonical_form`
+calls, and `TuranCache._validate` and `TuranCache.get` calls.  On
+`cli-warm-cache`, `counts` covers the first pass after set-up (set-up itself
+filled the cache through `TuranCache`) and `counts_warm` the pass after it,
+when everything a process keeps from one command to the next is in place.
 
 Each side hashes the case's outputs (every command's exit code and text,
 every lookup's record), so equal hashes show that the outputs are
-byte-identical.  The result goes to `bench/BENCH_cli_fixed_cost.json`.
+byte-identical.  The result goes to FILE, by default
+`bench/BENCH_cli_fixed_cost.json`.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class _Counters:
         return {
             "parsers_built": self.parsers,
             "lines_decoded": self.loads,
+            "canonical_form_calls": self.tracer.layer("canon.canonical_form")["calls"],
             "validate_calls": self.tracer.layer("turan.TuranCache._validate")["calls"],
             "get_calls": self.tracer.layer("turan.TuranCache.get")["calls"],
         }
@@ -107,7 +111,8 @@ def _cli_case(counted: bool) -> dict:
         counters = _Counters(lib) if counted else None
         times: list[list[float]] = [[] for _ in prep.ops]
         digest = hashlib.sha256()
-        for p in range(1 if counted else PASSES + 1):
+        snapshots = []
+        for p in range(2 if counted else PASSES + 1):
             prep.before_pass()
             for i, op in enumerate(prep.ops):
                 t0 = time.perf_counter()
@@ -117,9 +122,13 @@ def _cli_case(counted: bool) -> dict:
                     times[i].append(dt)
                 if p == 0:
                     digest.update(op.digest(out).encode())
+            if counted:
+                snapshots.append(counters.snapshot())
         result = {"output_sha256": digest.hexdigest()}
         if counted:
-            result["counts"] = counters.snapshot()
+            first, both = snapshots
+            result["counts"] = first
+            result["counts_warm"] = {k: both[k] - first[k] for k in both}
             return result
     by_kind: dict[str, list[float]] = {}
     for op, ts in zip(prep.ops, times):
@@ -193,6 +202,7 @@ def _median_of(runs: list[dict], *path) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="checkout of the commit to compare against")
+    ap.add_argument("--out", default=OUT, help="result file (default: %(default)s)")
     ap.add_argument("--child", choices=CASES, help=argparse.SUPPRESS)
     ap.add_argument("--counted", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -235,11 +245,13 @@ def main() -> None:
                         "first_ms": _median_of(side_runs, label, "first_ms"),
                     }
             out["counts"] = counted["counts"]
+            if "counts_warm" in counted:
+                out["counts_warm"] = counted["counts_warm"]
             entry[side] = out
         entry["same_output"] = entry["parent"]["output_sha256"] == entry["change"]["output_sha256"]
         result["cases"][case] = entry
         print(case, json.dumps(entry), flush=True)
-    with open(OUT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .canon import canonical_graph
 from .errors import InvalidInputError, NonExactRecordError
-from .graphs import SimpleGraph, edge_index, encode_graph6
+from .graphs import SimpleGraph, decode_graph6, edge_index, encode_graph6
 from .monoscan import EdgeColoring
 from .patterns import BipartitePattern
 from .turan import TuranCache, TuranRecord, ex_exact
@@ -37,18 +38,27 @@ def _base_witness(n: int, pattern: BipartitePattern,
             "non-exact extremal record",
             f"ex({n}, {pattern.name}) is only bounded below by {rec.value}",
         )
-    best_code = None
-    best = None
-    for g in rec.witness_graphs():
-        cg = canonical_graph(g)
-        code = encode_graph6(cg)
-        if best_code is None or code < best_code:
-            best_code, best = code, cg
+    best = _least_canonical(rec.witnesses)
     if best is None:
         raise NonExactRecordError(
             "non-exact extremal record", f"record for ex({n}, {pattern.name}) has no witness"
         )
     return rec, best
+
+
+@lru_cache(maxsize=256)
+def _least_canonical(witnesses: tuple[str, ...]) -> SimpleGraph | None:
+    """The canonical form, least by graph6, of the graph6 witnesses, or None
+    when there are none.  Each witness is canonicalized here: cached and
+    greedy records may hold non-canonical ones."""
+    best_code = None
+    best = None
+    for w in witnesses:
+        cg = canonical_graph(decode_graph6(w))
+        code = encode_graph6(cg)
+        if best_code is None or code < best_code:
+            best_code, best = code, cg
+    return best
 
 
 def extremal_two_coloring(n: int, pattern: BipartitePattern, *,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -236,11 +237,21 @@ class NimReport:
                 out[self.colors[i]] += 1
         return out
 
+    @cached_property
+    def _class_nim_graphs(self) -> tuple[SimpleGraph, ...]:
+        """The NIM graph of every color, from one walk over the flags."""
+        n = self.n
+        rows = [[0] * n for _ in range(self.k)]
+        for (u, v), f, c in zip(edge_pairs(n), self.flags, self.colors):
+            if f:
+                r = rows[c - 1]
+                r[u] |= 1 << v
+                r[v] |= 1 << u
+        return tuple(SimpleGraph(n, tuple(r)) for r in rows)
+
     def color_class_nim_graph(self, c: int) -> SimpleGraph:
-        """Graph of NIM edges having color c."""
-        pairs = edge_pairs(self.n)
-        edges = [pairs[i] for i, f in enumerate(self.flags) if f and self.colors[i] == c]
-        return SimpleGraph.from_edges(self.n, edges)
+        """Graph of NIM edges having color c, for c in 1..k."""
+        return self._class_nim_graphs[c - 1]
 
     def to_json(self) -> dict:
         return {

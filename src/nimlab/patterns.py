@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
-from .canon import CanonicalCode, canonical_form
+from .canon import CanonicalCode, CanonResult, canonical_form
 from .errors import InvalidInputError
 from .graphs import SimpleGraph, bits_to_list
 
@@ -134,8 +134,14 @@ class BipartitePattern:
     # -- canonical identities ------------------------------------------------
 
     @cached_property
+    def _canon(self) -> CanonResult:
+        """The one canonical form of the graph that `graph_code` and
+        `aut_generators` both read."""
+        return canonical_form(self.graph)
+
+    @cached_property
     def graph_code(self) -> CanonicalCode:
-        return canonical_form(self.graph).code
+        return self._canon.code
 
     @cached_property
     def oriented_fingerprint(self) -> CanonicalCode:
@@ -152,7 +158,7 @@ class BipartitePattern:
 
     @cached_property
     def aut_generators(self) -> tuple[tuple[int, ...], ...]:
-        return canonical_form(self.graph).generators
+        return self._canon.generators
 
     @cached_property
     def directed_edge_reps(self) -> tuple[tuple[int, int], ...]:
@@ -293,22 +299,34 @@ def parse_pattern(source) -> BipartitePattern:
     """Parse a pattern from a compact family name or a descriptor document.
 
     Descriptors are JSON objects with fields n, edges, optional X, Y, weak.
+    Text sources are memoized on the text: a repeated text returns the same
+    pattern object, whose canonical identities and matcher plans are then
+    computed once.
     """
     if isinstance(source, BipartitePattern):
         return source
     if isinstance(source, str):
-        text = source.strip()
-        if not text.startswith("{"):
-            return build_pattern(text)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError("invalid-pattern", f"bad descriptor: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise InvalidInputError("invalid-pattern", repr(source))
+        return _parse_text(source)
+    if isinstance(source, dict):
+        return _parse_descriptor(source)
+    raise InvalidInputError("invalid-pattern", repr(source))
 
+
+# Bounded: a process that sees more distinct texts re-parses the least
+# recently used ones.
+@lru_cache(maxsize=256)
+def _parse_text(source: str) -> BipartitePattern:
+    text = source.strip()
+    if not text.startswith("{"):
+        return build_pattern(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError("invalid-pattern", f"bad descriptor: {exc}") from exc
+    return _parse_descriptor(doc)
+
+
+def _parse_descriptor(doc) -> BipartitePattern:
     try:
         n = int(doc["n"])
         raw_edges = doc["edges"]

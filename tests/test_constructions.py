@@ -4,9 +4,12 @@ Numbers asserted here (pentagon counts, overlap bounds) were recomputed
 by hand from the defining arithmetic before being frozen.
 """
 
+import dataclasses
 import math
 
 import pytest
+
+import nimlab.canon
 
 from nimlab.constructions import (
     extremal_two_coloring,
@@ -14,10 +17,10 @@ from nimlab.constructions import (
     permuted_overlay_coloring,
 )
 from nimlab.errors import InvalidInputError, NonExactRecordError
-from nimlab.graphs import decode_graph6
+from nimlab.graphs import decode_graph6, encode_graph6
 from nimlab.monoscan import is_h_free, nim_edges
 from nimlab.patterns import build_pattern
-from nimlab.turan import ex_exact
+from nimlab.turan import TuranCache, clear_memo, ex_exact
 
 from conftest import oracle_is_free, oracle_nim_flags
 
@@ -130,6 +133,43 @@ def test_extremal_refuses_inexact_value():
 def test_extremal_rejects_bad_n(k3):
     with pytest.raises(InvalidInputError):
         extremal_two_coloring(0, k3)
+
+
+def _relabelled_ex8_cache(tmp_path, c4):
+    """A cache whose ex(8, C4) line lists the extremal witnesses relabelled
+    and in reverse order, so that none of them is canonical."""
+    rec = ex_exact(8, c4)
+    perm = [3, 6, 0, 7, 1, 5, 2, 4]
+    wits = tuple(encode_graph6(decode_graph6(w).relabel(perm)) for w in reversed(rec.witnesses))
+    assert not set(wits) & set(rec.witnesses)
+    cache = TuranCache(tmp_path / "t.jsonl")
+    cache.put(dataclasses.replace(rec, witnesses=wits))
+    clear_memo()
+    assert ex_exact(8, c4, cache=cache).witnesses == wits
+    clear_memo()
+    return cache
+
+
+def test_extremal_from_non_canonical_cached_witnesses(tmp_path, c4):
+    fresh = extremal_two_coloring(8, c4)
+    cache = _relabelled_ex8_cache(tmp_path, c4)
+    assert extremal_two_coloring(8, c4, cache=cache) == fresh
+
+
+def test_extremal_picks_the_witness_once_per_record(tmp_path, c4, monkeypatch):
+    cache = _relabelled_ex8_cache(tmp_path, c4)
+    first = extremal_two_coloring(8, c4, cache=cache)
+    calls = []
+    canonical_form = nimlab.canon.canonical_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(nimlab.canon, "canonical_form", counting)
+    clear_memo()
+    assert extremal_two_coloring(8, c4, cache=cache) == first
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

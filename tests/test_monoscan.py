@@ -119,10 +119,15 @@ def test_nim_class_graphs_are_pattern_free(k3, c4):
             n = rng.randrange(3, 10)
             col = EdgeColoring.random(n, rng.randint(2, 3), seed=rng.randrange(2**32))
             rep = nim_edges(col, pat)
+            by_class = []
             for c in range(1, col.k + 1):
                 g = rep.color_class_nim_graph(c)
                 assert is_h_free(g, pat)
                 assert oracle_is_free(g, pat)
+                by_class += [(e, c) for e in g.edges()]
+            # the class graphs split the NIM edges by color
+            assert sorted(by_class) == [(e, col.colors[i]) for i, e in enumerate(edge_pairs(n))
+                                        if rep.flags[i]]
 
 
 def test_pattern_larger_than_host_means_all_nim(c4):

@@ -160,3 +160,37 @@ def test_theta_pattern_shape():
     assert isomorphic_brute(th.graph, SimpleGraph.complete_bipartite(2, 3))
     th2 = build_pattern("theta2,3")
     assert isomorphic_brute(th2.graph, SimpleGraph.cycle(6))
+
+
+def test_parse_pattern_memoizes_text():
+    desc = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                       "X": [0, 2], "Y": [1, 3], "weak": 0})
+    assert parse_pattern("c4") is parse_pattern("c4")
+    assert parse_pattern(desc) is parse_pattern(desc)
+    assert parse_pattern("c4") is not parse_pattern(" c4")
+    assert parse_pattern("c4") is not parse_pattern("c6")
+    # dict sources are parsed afresh, as before
+    assert parse_pattern(json.loads(desc)) is not parse_pattern(json.loads(desc))
+
+
+def test_parse_pattern_bad_text_raises_on_every_call():
+    for bad in ("c5", "{not json", json.dumps({"n": 3})):
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                parse_pattern(bad)
+
+
+def test_graph_code_and_generators_share_one_canonical_form(monkeypatch):
+    import nimlab.patterns as patterns
+
+    calls = []
+    canonical_form = patterns.canonical_form
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return canonical_form(g, *args, **kwargs)
+
+    monkeypatch.setattr(patterns, "canonical_form", counting)
+    p = build_pattern("k2,3")
+    p.graph_code, p.aut_generators, p.pin_plans, p.free_plan
+    assert len(calls) == 1

@@ -427,6 +427,20 @@ _K4_PLUS_EDGE = encode_graph6(SimpleGraph.from_edges(
     6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))
 
 
+def test_cache_distrusts_completeness_of_degree_bnb_records(tmp_path, c4):
+    # `_bnb_kst` listed 8 of the 10 classes of ex(9, C4) and called the list
+    # complete; a cache line it wrote keeps its value but not that claim
+    rec = ex_exact(9, c4)
+    assert rec.value == 13 and len(rec.witnesses) == 10
+    cache = TuranCache(tmp_path / "t.jsonl")
+    cache.put(dataclasses.replace(rec, method="degree-bnb", witnesses=rec.witnesses[:8],
+                                  witnesses_complete=True))
+    got = cache.get("ex", c4, None, 9)
+    assert got.value == 13 and got.exact and got.method == "degree-bnb"
+    assert got.witnesses == rec.witnesses[:8]
+    assert not got.witnesses_complete
+
+
 def test_cache_index_sees_same_size_rewrite(tmp_path, c4):
     path = tmp_path / "t.jsonl"
     cache = TuranCache(path)
