@@ -1,6 +1,6 @@
 """Canonical augmentation, before and after: wall time and canon work counts.
 
-    python3 bench/canon_augmentation.py --parent PATH
+    python3 bench/canon_augmentation.py --parent PATH [--out FILE]
 
 PATH is a checkout of the commit to compare against (`git archive` of it
 unpacked somewhere will do); this checkout is the change.  Each case runs
@@ -15,8 +15,11 @@ the machine:
 
 Each side also hashes the case's output (the enumerated graphs in order,
 the `f_exact` report, the `_enum_ex` record), so equal hashes show that
-the outputs are byte-identical.  The result goes to
+the outputs are byte-identical.  The result goes to FILE, by default
 `bench/BENCH_canon_augmentation.json`.
+
+`enumerate_graphs(8, m <= 14)` is the sweep behind `f_exact(8, c4, 2)`:
+every class on 8 vertices with at most 14 edges.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 OUT = os.path.join(HERE, "BENCH_canon_augmentation.json")
 REPEAT = 5
 
-CASES = ("enumerate_graphs(8)", "f_exact(8, c4, 2)", "_enum_ex(8, c6)")
+CASES = ("enumerate_graphs(8)", "enumerate_graphs(8, m <= 14)", "f_exact(8, c4, 2)",
+         "_enum_ex(8, c6)")
 COUNTED = ("add_vertex", "canonical_form", "_refine", "_leaf")
 
 
@@ -51,6 +55,9 @@ def _run_case(case: str) -> str:
 
     if case == "enumerate_graphs(8)":
         return json.dumps([[g.n, list(g.adj)] for g in enumerate_graphs(8)])
+    if case == "enumerate_graphs(8, m <= 14)":
+        capped = enumerate_graphs(8, predicate=lambda child, z: child.num_edges <= 14)
+        return json.dumps([[g.n, list(g.adj)] for g in capped])
     if case == "f_exact(8, c4, 2)":
         return json.dumps(f_exact(8, build_pattern("c4"), 2).to_json(), sort_keys=True)
     if case == "_enum_ex(8, c6)":
@@ -106,6 +113,7 @@ def _spawn(src: str, case: str, counted: bool) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="checkout of the commit to compare against")
+    ap.add_argument("--out", default=OUT, help="result file (default: %(default)s)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--counted", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -150,7 +158,7 @@ def main() -> None:
             entry["change"]["wall_s_median"] / entry["parent"]["wall_s_median"], 3)
         result["cases"][case] = entry
         print(case, json.dumps(entry), flush=True)
-    with open(OUT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
 

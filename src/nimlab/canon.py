@@ -8,17 +8,28 @@ as soon as a leaf reproduces an anchor leaf's code.  Both prunings are the
 classical ones and the module is validated exhaustively against brute
 force relabeling for small orders in the test suite.
 
-Enumeration uses canonical augmentation: a graph built by appending vertex
-z to a parent is kept iff z lies in the automorphism orbit of the vertex
-occupying the last canonical position, with per-parent deduplication by
-canonical code.  Every isomorphism class on the target order is produced
-exactly once.  Each kept graph carries the automorphism generators its
-own canonical form found, and among its children a neighbor mask M of z
-is skipped when one generator maps M to a smaller mask.  The output is
-unchanged: the smallest mask of each orbit is never skipped, and two kept
-children of one parent are isomorphic only if their masks share an orbit.
-A child whose z is below the top degree is dropped before refinement,
-since the canonical-last vertex always has top degree.
+Enumeration uses canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): a graph built by appending
+vertex z to a parent is kept iff z lies in the automorphism orbit of the
+vertex occupying the last canonical position.  Every isomorphism class on
+the target order is produced exactly once, and no canonical form is spent
+where nothing reads it:
+
+- A parent's neighbor masks for z are grouped into exact orbits of its
+  automorphism group, from the generators its own canonical form found,
+  and only the smallest mask of each orbit is tried.  Two kept children
+  of one parent are isomorphic only if their masks share an orbit, so no
+  per-parent record of codes is needed; this rests on the generators
+  generating the whole group, which the test suite checks.
+- A mask that cannot give z top degree in the child is dropped before
+  the child is built, since the canonical-last vertex has top degree:
+  fewer than Δ(parent) neighbors, or exactly Δ with one of degree Δ.
+- On the last level, a child whose z is alone in the last cell of the
+  root refinement is kept without a canonical form: the canonical-last
+  vertex lies in that cell, and the child's generators are never read.
+
+The output does not depend on these shortcuts: the same labeled graphs
+come out in the same order as from trying every mask.
 """
 
 from __future__ import annotations
@@ -319,43 +330,92 @@ def _mask_images(gamma: tuple[int, ...], v: int) -> list[int]:
     return images
 
 
+def _orbit_minima(
+    generators: tuple[tuple[int, ...], ...], v: int, masks: list[int]
+) -> list[int]:
+    """The masks of `masks` that are the smallest of their orbit under the
+    group `generators` generate, in increasing order.
+
+    `masks` is increasing and a union of orbits.  Each orbit is walked once
+    through the generators' mask image tables, from its smallest member.
+    """
+    if not generators:
+        return masks
+    images = [_mask_images(gamma, v) for gamma in generators]
+    marked = bytearray(1 << v)
+    minima = []
+    for mask in masks:
+        if marked[mask]:
+            continue
+        minima.append(mask)
+        marked[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for img in images:
+                x = img[m]
+                if not marked[x]:
+                    marked[x] = 1
+                    stack.append(x)
+    return minima
+
+
 def _children(
     parent: SimpleGraph,
     generators: tuple[tuple[int, ...], ...],
     predicate: Optional[Callable[[SimpleGraph, int], bool]],
+    final: bool,
 ) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...]]]:
     """Accepted children of `parent` with their automorphism generators.
 
-    `generators` are automorphisms of the parent.  A mask that one of them
-    maps to a smaller mask is skipped: the smallest mask of its orbit is
-    tried first and gives an isomorphic child (the automorphism, fixing the
-    new vertex, carries one child onto the other), so the skipped child
-    could only repeat a code already in `seen` or be rejected like it.
+    `generators` generate the parent's automorphism group.  Only the
+    smallest mask of each orbit of that group is tried: an automorphism
+    carrying one mask to another, extended to fix the new vertex z, is an
+    isomorphism between the two children, so a larger mask of the orbit
+    gives a child the smallest one has already given or rejected.  Two
+    accepted children whose masks lie in different orbits are not
+    isomorphic: an isomorphism between them can be chosen to fix z, since
+    z is in the orbit of the canonical-last vertex in both, and then it
+    restricts to an automorphism of the parent carrying one mask to the
+    other.  So no child needs a second look.
+
+    A mask M is dropped before the child is built when z cannot have top
+    degree in the child, since the canonical-last vertex does: when
+    |M| < Δ(parent), or |M| = Δ(parent) and M meets a vertex of degree Δ.
+    Both tests are unchanged by automorphisms, so a dropped mask takes
+    its whole orbit with it.
+
+    With `final` set the children are leaves of the enumeration and their
+    generators are never read, so a child whose z is alone in the last
+    cell of the root refinement is accepted without a canonical form: the
+    canonical-last vertex lies in that cell, so it is z.  Such children
+    come with no generators.
     """
     v = parent.n
-    images = [_mask_images(gamma, v) for gamma in generators]
-    seen: set[CanonicalCode] = set()
-    for mask in range(1 << v):
-        if any(img[mask] < mask for img in images):
-            continue
+    degrees = [row.bit_count() for row in parent.adj]
+    top_degree = max(degrees)
+    top = _mask(u for u in range(v) if degrees[u] == top_degree)
+    masks = [
+        mask for mask in range(1 << v)
+        if (size := mask.bit_count()) > top_degree or (size == top_degree and not mask & top)
+    ]
+    for mask in _orbit_minima(generators, v, masks):
         child = parent.add_vertex(mask)
-        # the canonical-last vertex always sits in the final cell of the
-        # root refinement, and that cell holds only vertices of top degree
-        if mask.bit_count() < max(row.bit_count() for row in child.adj):
-            continue
         if predicate is not None and not predicate(child, v):
             continue
+        # the canonical-last vertex lies in the last cell of the root
+        # refinement, as every leaf of the search refines it
         root = _refine(child.adj, [list(range(v + 1))])
-        if v not in root[-1]:
+        cell = root[-1]
+        if v not in cell:
+            continue
+        if final and len(cell) == 1:
+            yield child, ()
             continue
         res = canonical_form(child, _root_cells=root)
-        pos = res.labeling
-        last = pos.index(v)  # vertex occupying the last canonical position
+        last = res.labeling.index(v)  # vertex occupying the last canonical position
         if res.orbits[v] != res.orbits[last]:
             continue
-        if res.code in seen:
-            continue
-        seen.add(res.code)
         yield child, res.generators
 
 
@@ -366,6 +426,13 @@ def enumerate_graphs(
     predicate: Optional[Callable[[SimpleGraph, int], bool]] = None,
 ) -> Iterator[SimpleGraph]:
     """Stream one representative per isomorphism class on n vertices.
+
+    Canonical augmentation from K_1 (see `_children`): each parent tries
+    one neighbor mask per orbit of its automorphism group, among the masks
+    that let the new vertex have top degree, and the children on the last
+    level skip their canonical form when the root refinement already puts
+    the new vertex alone in the last cell.  Representatives are labeled
+    graphs, yielded depth first in mask order.
 
     `predicate(child, z)` prunes a just-augmented child (z is the new
     vertex); it must reject a graph only if no graph to be kept reaches it
@@ -389,7 +456,8 @@ def enumerate_graphs(
         if g.n == n:
             yield g
             return
-        for child, child_gens in _children(g, gens, predicate):
+        final = g.n + 1 == n
+        for child, child_gens in _children(g, gens, predicate, final):
             yield from rec(child, child_gens)
 
     yield from rec(SimpleGraph.empty(1), ())

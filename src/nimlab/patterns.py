@@ -112,9 +112,17 @@ class BipartitePattern:
         return g.num_edges > g.n - g.component_count()
 
     def reduced(self) -> "BipartitePattern":
-        """The pattern minus its weak vertex, sides relabeled accordingly."""
+        """The pattern minus its weak vertex, sides relabeled accordingly.
+
+        Built once per pattern, so the reduced pattern's canonical forms
+        are computed once too.
+        """
         if self.weak is None:
             raise InvalidInputError("no-weak-vertex", f"pattern {self.name} has no weak vertex")
+        return self._reduced
+
+    @cached_property
+    def _reduced(self) -> "BipartitePattern":
         w = self.weak
         remap = lambda v: v - (v > w)
         g = self.graph.delete_vertex(w)

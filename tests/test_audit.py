@@ -6,9 +6,11 @@ would, by catching the not-applicable signal.
 """
 
 import json
+import sys
 
 import pytest
 
+from nimlab import canon
 from nimlab.audit import (
     audit_k_color,
     audit_two_color,
@@ -271,6 +273,25 @@ def test_two_color_report_json_is_stable(c4):
     assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(
         again.to_json(), sort_keys=True
     )
+
+
+def test_repeated_two_color_audit_makes_no_canonical_form(c4, monkeypatch):
+    # the reduced pattern is built once per pattern, so a second audit on
+    # the same pattern canonicalizes nothing
+    col, rep = _first_applicable_two(6, c4, range(20))
+    calls = []
+    original = canon.canonical_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nimlab") and getattr(module, "canonical_form", None) is original:
+            monkeypatch.setattr(module, "canonical_form", counting)
+    again = audit_two_color(col, c4)
+    assert again.to_json() == rep.to_json()
+    assert calls == []
 
 
 def test_two_color_rejects_three_colorings(c4):

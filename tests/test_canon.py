@@ -5,6 +5,7 @@ import pytest
 
 from nimlab.canon import (
     CanonicalCode,
+    _orbit_minima,
     canonical_code,
     canonical_form,
     canonical_graph,
@@ -137,6 +138,35 @@ def test_enumerate_counts():
         assert sum(1 for _ in enumerate_graphs(n)) == want
 
 
+def test_enumerate_capped_n8_matches_oeis_a008406():
+    # graphs on 8 vertices by edge count, OEIS A008406 row 8, m = 0..14;
+    # the cap makes the last level accept most children without a
+    # canonical form, so the codes are checked apart
+    want = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646]
+    graphs = list(enumerate_graphs(8, predicate=lambda child, z: child.num_edges <= 14))
+    hist = [0] * 15
+    for g in graphs:
+        hist[g.num_edges] += 1
+    assert hist == want
+    assert len(graphs) == sum(want) == 6996
+    assert len({canonical_code(g) for g in graphs}) == 6996
+
+
+def test_orbit_minima_match_brute_force():
+    rng = random.Random(47)
+    for _ in range(30):
+        g = _random_graph(rng, rng.randrange(1, 7))
+        masks = list(range(1 << g.n))
+        want = [
+            mask for mask in masks
+            if all(
+                sum(1 << p[u] for u in range(g.n) if (mask >> u) & 1) >= mask
+                for p in automorphisms_brute(g)
+            )
+        ]
+        assert _orbit_minima(canonical_form(g).generators, g.n, masks) == want
+
+
 def test_enumerate_yields_distinct_canonical_representatives():
     seen = set()
     for g in enumerate_graphs(5):
@@ -162,8 +192,10 @@ def test_enumerate_with_predicate_prunes_hereditarily():
 
 @pytest.mark.parametrize("which", ["none", "triangle-free", "c4-free"])
 def test_enumerate_matches_unpruned_augmentation(which):
-    # skipping masks that a parent automorphism maps lower must not change
-    # which labeled graphs come out, nor their order
+    # trying only the smallest mask of each orbit of the parent's
+    # automorphism group, dropping masks whose vertex cannot have top
+    # degree, and accepting a last-level child without a canonical form
+    # must not change which labeled graphs come out, nor their order
     predicate = {
         "none": None,
         "triangle-free": _tri_free,

@@ -68,8 +68,15 @@ def test_reduced_biclique():
 
 def test_reduced_without_weak_vertex_raises():
     rp = build_pattern("c4").reduced()
-    with pytest.raises(InvalidInputError):
-        rp.reduced()
+    for _ in range(2):
+        with pytest.raises(InvalidInputError) as exc:
+            rp.reduced()
+        assert exc.value.reason == "no-weak-vertex"
+
+
+def test_reduced_is_built_once():
+    p = build_pattern("k2,3")
+    assert p.reduced() is p.reduced()
 
 
 def test_reducible_flag():
