@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError
 from .graphs import SimpleGraph, bits_to_list, edge_index, edge_pairs
@@ -264,26 +264,36 @@ class NimReport:
         }
 
 
-def _graph_nim(g: SimpleGraph, pattern: BipartitePattern) -> list[tuple[int, int]]:
-    """Edges of g that no pattern copy inside g passes through.
+def _nim_scan(rows: list[int], pattern: BipartitePattern,
+              edges: Iterable[tuple[int, int]]):
+    """Which of `edges` (pairs u < v of the graph with adjacency `rows`)
+    no pattern copy inside the graph passes through.
 
-    Edges of a found copy are remembered so later scans skip them; an
-    edge covered by some copy can never be NIM.
+    Returns the NIM edges in the order given, and a witness for every
+    other edge the scan settled: a copy through it, as its vertex image
+    (pattern vertex -> host vertex).  Edges of a found copy are skipped
+    later: an edge covered by some copy can never be NIM.
     """
-    covered = set()
+    witness: dict[tuple[int, int], tuple[int, ...]] = {}
     pedges = list(pattern.graph.edges())
-    out = []
-    for u, v in g.edges():
-        if (u, v) in covered:
+    nim = []
+    for u, v in edges:
+        if (u, v) in witness:
             continue
-        img = _copy_through(g.adj, pattern, u, v, want_map=True)
+        img = _copy_through(rows, pattern, u, v, want_map=True)
         if img is None:
-            out.append((u, v))
+            nim.append((u, v))
         else:
             for a, b in pedges:
                 x, y = img[a], img[b]
-                covered.add((x, y) if x < y else (y, x))
-    return out
+                witness[(x, y) if x < y else (y, x)] = img
+    return nim, witness
+
+
+def _graph_nim(g: SimpleGraph, pattern: BipartitePattern):
+    """NIM edges of g in edge order, and a witness copy for each other
+    edge of g (see `_nim_scan`)."""
+    return _nim_scan(g.adj, pattern, g.edges())
 
 
 def nim_edges(coloring: EdgeColoring, pattern: BipartitePattern) -> NimReport:
@@ -291,7 +301,7 @@ def nim_edges(coloring: EdgeColoring, pattern: BipartitePattern) -> NimReport:
     n = coloring.n
     flags = [False] * (n * (n - 1) // 2)
     for c in range(1, coloring.k + 1):
-        for u, v in _graph_nim(coloring.class_graph(c), pattern):
+        for u, v in _graph_nim(coloring.class_graph(c), pattern)[0]:
             flags[edge_index(n, u, v)] = True
     return NimReport(n, coloring.k, pattern.name, tuple(flags), tuple(coloring.colors))
 

@@ -19,9 +19,9 @@ from typing import Optional
 from .canon import CanonicalCode, canonical_code, enumerate_graphs
 from .errors import InvalidInputError, RefusalError, ResourceLimitError
 from .graphs import SimpleGraph, edge_pairs
-from .monoscan import EdgeColoring, _graph_nim
+from .monoscan import EdgeColoring, _graph_nim, _nim_scan
 from .patterns import BipartitePattern
-from .turan import TuranCache, _greedy_lower_bound, ex_exact
+from .turan import TuranCache, ex_exact
 from .constructions import (
     extremal_two_coloring,
     pentagon_three_coloring,
@@ -42,7 +42,7 @@ EXACT_CEILINGS = {2: 9, 3: 5}
 
 
 def _class_counts(coloring: EdgeColoring, pattern: BipartitePattern) -> list[int]:
-    return [len(_graph_nim(coloring.class_graph(c), pattern))
+    return [len(_graph_nim(coloring.class_graph(c), pattern)[0])
             for c in range(1, coloring.k + 1)]
 
 
@@ -204,31 +204,75 @@ def _seed_colorings(n: int, pattern: BipartitePattern, k: int, seed: int,
                     cache: Optional[TuranCache]):
     """Start states: explicit constructions first, then random colorings.
 
-    Construction seeds that need an exact extremal value fall back to a
-    greedy pattern-free graph when that value is out of reach, so the
-    stream never raises.
+    Construction seeds need an exact extremal value; when it is out of
+    reach the record's witness, a greedy pattern-free graph, stands in, so
+    the stream never raises.
     """
-    def greedy_graph():
-        rec = _greedy_lower_bound(n, pattern, pattern.graph_code.hex(), seed=seed)
-        return rec.witness_graphs()[0]
-
-    if k == 2:
-        try:
-            yield extremal_two_coloring(n, pattern, cache=cache)
-        except RefusalError:
-            yield EdgeColoring.from_graph(greedy_graph(), k=2)
+    rec = ex_exact(n, pattern, cache=cache, seed=seed)
+    if not rec.exact:
+        yield EdgeColoring.from_graph(rec.witness_graphs()[0], k=k)
+    elif k == 2:
+        yield extremal_two_coloring(n, pattern, cache=cache, seed=seed)
     else:
-        try:
-            yield permuted_overlay_coloring(n, pattern, k, seed=seed,
-                                            cache=cache)[0]
-        except RefusalError:
-            yield EdgeColoring.from_graph(greedy_graph(), k=k)
-        if k == 3 and n >= 5:
-            yield pentagon_three_coloring(n)
+        yield permuted_overlay_coloring(n, pattern, k, seed=seed, cache=cache)[0]
+    if k == 3 and n >= 5:
+        yield pentagon_three_coloring(n)
 
     rng = random.Random(seed)
     while True:
         yield EdgeColoring.random(n, k, seed=rng.randrange(2 ** 32))
+
+
+class _ClassScan:
+    """One color class of the heuristic's current coloring: its NIM edges
+    and, for every covered edge g, the covered edges whose witness copy
+    passes through g.  A recolor into or out of the class dates it."""
+
+    __slots__ = ("pattern", "nim", "users")
+
+    def __init__(self, g: SimpleGraph, pattern: BipartitePattern):
+        self.pattern = pattern
+        self.nim, witness = _graph_nim(g, pattern)
+        pedges = list(pattern.graph.edges())
+        users: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for f, img in witness.items():
+            for a, b in pedges:
+                x, y = img[a], img[b]
+                users.setdefault((x, y) if x < y else (y, x), []).append(f)
+        self.users = users
+
+    def count_without(self, rows: list[int], e: tuple[int, int]) -> int:
+        """NIM count of the class (adjacency `rows`) once its edge e leaves.
+
+        Every copy avoiding e survives, so a covered edge can turn NIM
+        only when its witness used e; those are the edges rechecked.
+        """
+        users = self.users.get(e)
+        if users is None:  # e is NIM, so no witness uses it
+            return len(self.nim) - 1
+        u, v = e
+        rows = list(rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        rechecked = [f for f in users if f != e]
+        return len(self.nim) + len(_nim_scan(rows, self.pattern, rechecked)[0])
+
+    def count_with(self, rows: list[int], e: tuple[int, int]) -> int:
+        """NIM count of the class (adjacency `rows`) once edge e joins it.
+
+        Adding an edge frees none, and a new copy through a NIM edge uses
+        e, so only e and the NIM edges are checked, and the NIM edges only
+        when e lies in a copy.
+        """
+        u, v = e
+        rows = list(rows)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        nim, witness = _nim_scan(rows, self.pattern, (e,))
+        if nim:
+            return len(self.nim) + 1
+        rechecked = [f for f in self.nim if f not in witness]
+        return len(_nim_scan(rows, self.pattern, rechecked)[0])
 
 
 def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
@@ -241,6 +285,14 @@ def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
     with the largest gain wins, earliest edge index and then smallest
     color breaking ties; a sweep with no gain triggers a restart from the
     next seed.  Runs with the same arguments produce the same report.
+
+    A start is scanned class by class (`_ClassScan`).  A move of edge e
+    from class a to class b is scored from the scans of a and b without
+    rescanning them: a minus e rechecks only the covered edges whose
+    witness copy used e (once per edge and sweep, whatever the target
+    color), and b plus e checks e and, when e lies in a copy, the NIM
+    edges of b.  The counts are exact, so `budget` still counts scored
+    colorings; only the two classes of an applied move are rescanned.
     """
     _check_search_args(n, pattern, k)
     if budget < 1:
@@ -254,8 +306,8 @@ def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
 
     while evals < budget:
         cur = next(seeds).copy()
-        counts = _class_counts(cur, pattern)
-        total = sum(counts)
+        scans = [_ClassScan(cur.class_graph(c), pattern) for c in range(1, k + 1)]
+        total = sum(len(s.nim) for s in scans)
         evals += 1
         if total > best_score:
             best_score, best_coloring = total, cur.copy()
@@ -263,32 +315,32 @@ def f_heuristic(n: int, pattern: BipartitePattern, k: int = 2, *,
         improving = True
         while improving and evals < budget:
             improving = False
-            move = None  # (gain, edge index, color, new counts for the two classes)
-            for i, (u, v) in enumerate(pairs):
-                old = cur.color_of(u, v)
+            move = None  # (gain, edge index, color)
+            for i, e in enumerate(pairs):
+                old = cur.colors[i]
+                a = None
                 for c in range(1, k + 1):
                     if c == old:
                         continue
                     if evals >= budget:
                         break
-                    cur.set_color(u, v, c)
-                    a = len(_graph_nim(cur.class_graph(old), pattern))
-                    b = len(_graph_nim(cur.class_graph(c), pattern))
-                    cur.set_color(u, v, old)
+                    if a is None:
+                        a = scans[old - 1].count_without(cur.class_adj(old), e)
+                    b = scans[c - 1].count_with(cur.class_adj(c), e)
                     evals += 1
-                    gain = (a + b) - (counts[old - 1] + counts[c - 1])
+                    gain = (a + b) - (len(scans[old - 1].nim) + len(scans[c - 1].nim))
                     if gain > 0 and (move is None or gain > move[0]):
-                        move = (gain, i, c, a, b)
+                        move = (gain, i, c)
                 else:
                     continue
                 break
             if move is not None:
-                gain, i, c, a, b = move
+                gain, i, c = move
                 u, v = pairs[i]
-                old = cur.color_of(u, v)
+                old = cur.colors[i]
                 cur.set_color(u, v, c)
-                counts[old - 1] = a
-                counts[c - 1] = b
+                for col in (old, c):
+                    scans[col - 1] = _ClassScan(cur.class_graph(col), pattern)
                 total += gain
                 if total > best_score:
                     best_score, best_coloring = total, cur.copy()
