@@ -1,4 +1,5 @@
-"""Canonical augmentation, before and after: wall time and canon work counts.
+"""Canonical augmentation and the exact coloring search, before and after:
+wall time and work counts.
 
     python3 bench/canon_augmentation.py --parent PATH [--out FILE]
 
@@ -7,19 +8,26 @@ unpacked somewhere will do); this checkout is the change.  Each case runs
 in a fresh process per side and repeat (5 repeats), importing nimlab from
 that side's `src/`, with the two sides alternating.  Timed runs are
 unwrapped.  One more run per side installs the benchmark tracer
-(`perfbench/tracer.py`) and counts canon's work, which does not depend on
-the machine:
+(`perfbench/tracer.py`) and counts work that does not depend on the
+machine:
 
 - children built: `SimpleGraph.add_vertex` calls (only `canon` makes them)
 - `canonical_form`, `_refine` and `_leaf` calls, read from the tracer
+- for the `f_exact` cases, `SearchReport.nodes`: colorings scored
 
 Each side also hashes the case's output (the enumerated graphs in order,
 the `f_exact` report, the `_enum_ex` record), so equal hashes show that
-the outputs are byte-identical.  The result goes to FILE, by default
+the outputs are byte-identical.  For `f_exact(5, c4, 3)` the output is
+the value and the sorted `_coloring_key`s of the optima, since the
+three-color search may list optima in another order and `nodes` is a
+count; the keys are computed inside the timed run, alike on both sides.
+The result goes to FILE, by default
 `bench/BENCH_canon_augmentation.json`.
 
 `enumerate_graphs(8, m <= 14)` is the sweep behind `f_exact(8, c4, 2)`:
-every class on 8 vertices with at most 14 edges.
+every class on 8 vertices with at most 14 edges, capped by a predicate.
+`search._smallest_classes(8, 2)` is the same sweep as each side's search
+runs it.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import time
+from typing import Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -41,27 +50,35 @@ TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 OUT = os.path.join(HERE, "BENCH_canon_augmentation.json")
 REPEAT = 5
 
-CASES = ("enumerate_graphs(8)", "enumerate_graphs(8, m <= 14)", "f_exact(8, c4, 2)",
-         "_enum_ex(8, c6)")
+CASES = ("enumerate_graphs(8)", "enumerate_graphs(8, m <= 14)", "search._smallest_classes(8, 2)",
+         "f_exact(8, c4, 2)", "f_exact(5, c4, 3)", "_enum_ex(8, c6)")
 COUNTED = ("add_vertex", "canonical_form", "_refine", "_leaf")
 
 
-def _run_case(case: str) -> str:
-    """Run one case and return the JSON text of its output."""
+def _run_case(case: str) -> tuple[str, Optional[int]]:
+    """Run one case; return the JSON text of its output and, for a search,
+    its `SearchReport.nodes`."""
     from nimlab.canon import enumerate_graphs
     from nimlab.patterns import build_pattern
-    from nimlab.search import f_exact
+    from nimlab.search import _coloring_key, _smallest_classes, f_exact
     from nimlab.turan import _enum_ex
 
     if case == "enumerate_graphs(8)":
-        return json.dumps([[g.n, list(g.adj)] for g in enumerate_graphs(8)])
+        return json.dumps([[g.n, list(g.adj)] for g in enumerate_graphs(8)]), None
     if case == "enumerate_graphs(8, m <= 14)":
         capped = enumerate_graphs(8, predicate=lambda child, z: child.num_edges <= 14)
-        return json.dumps([[g.n, list(g.adj)] for g in capped])
+        return json.dumps([[g.n, list(g.adj)] for g in capped]), None
+    if case == "search._smallest_classes(8, 2)":
+        return json.dumps([[g.n, list(g.adj)] for g in _smallest_classes(8, 2)]), None
     if case == "f_exact(8, c4, 2)":
-        return json.dumps(f_exact(8, build_pattern("c4"), 2).to_json(), sort_keys=True)
+        rep = f_exact(8, build_pattern("c4"), 2)
+        return json.dumps(rep.to_json(), sort_keys=True), rep.nodes
+    if case == "f_exact(5, c4, 3)":
+        rep = f_exact(5, build_pattern("c4"), 3)
+        keys = sorted(_coloring_key(c).hex() for c in rep.colorings)
+        return json.dumps({"value": rep.value, "keys": keys}), rep.nodes
     if case == "_enum_ex(8, c6)":
-        return json.dumps(_enum_ex(8, build_pattern("c6"), "").to_json(), sort_keys=True)
+        return json.dumps(_enum_ex(8, build_pattern("c6"), "").to_json(), sort_keys=True), None
     raise SystemExit(f"unknown case {case!r}")
 
 
@@ -93,11 +110,11 @@ def _child(case: str, counted: bool) -> None:
 
     counts = _install_counters() if counted else None
     t0 = time.perf_counter()
-    text = _run_case(case)
+    text, nodes = _run_case(case)
     wall = time.perf_counter() - t0
     out = {"wall_s": wall, "output_sha256": hashlib.sha256(text.encode()).hexdigest()}
     if counts is not None:
-        out["counts"] = counts()
+        out["counts"] = {**counts(), "nodes": nodes}
     print(json.dumps(out))
 
 
@@ -151,6 +168,7 @@ def main() -> None:
                 "canonical_form_calls": run["counts"]["canonical_form"],
                 "refine_calls": run["counts"]["_refine"],
                 "leaf_calls": run["counts"]["_leaf"],
+                "search_nodes": run["counts"]["nodes"],
                 "output_sha256": sorted(digests[side]),
             }
         entry["same_output"] = entry["parent"]["output_sha256"] == entry["change"]["output_sha256"]

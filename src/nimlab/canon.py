@@ -24,9 +24,13 @@ where nothing reads it:
 - A mask that cannot give z top degree in the child is dropped before
   the child is built, since the canonical-last vertex has top degree:
   fewer than Δ(parent) neighbors, or exactly Δ with one of degree Δ.
+- With a caller's edge cap, a mask that would take the child over it is
+  dropped before the child is built.
 - On the last level, a child whose z is alone in the last cell of the
   root refinement is kept without a canonical form: the canonical-last
   vertex lies in that cell, and the child's generators are never read.
+  When z has strictly the top degree it is alone there, and the child is
+  kept without refining it.
 
 The output does not depend on these shortcuts: the same labeled graphs
 come out in the same order as from trying every mask.
@@ -34,7 +38,7 @@ come out in the same order as from trying every mask.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import SimpleGraph
@@ -321,23 +325,29 @@ def graph_from_code(code: CanonicalCode) -> SimpleGraph:
 # Isomorph-free enumeration by canonical augmentation.
 # ---------------------------------------------------------------------------
 
-def _mask_images(gamma: tuple[int, ...], v: int) -> list[int]:
-    """images[M] is the mask gamma(M), for every mask M on v vertices."""
-    images = [0] * (1 << v)
-    for mask in range(1, 1 << v):
-        low = mask & -mask
-        images[mask] = images[mask ^ low] | (1 << gamma[low.bit_length() - 1])
-    return images
+def _mask_images(gamma: tuple[int, ...], v: int) -> list[list[int]]:
+    """Image tables of gamma on masks of v bits, one per byte: gamma(M) is
+    the union of tables[b][(M >> 8b) & 255] over the bytes b of M, so the
+    tables grow with v rather than with 2^v."""
+    tables = []
+    for lo in range(0, v, 8):
+        table = [0] * (1 << min(8, v - lo))
+        for sub in range(1, len(table)):
+            low = sub & -sub
+            table[sub] = table[sub ^ low] | (1 << gamma[lo + low.bit_length() - 1])
+        tables.append(table)
+    return tables
 
 
 def _orbit_minima(
-    generators: tuple[tuple[int, ...], ...], v: int, masks: list[int]
-) -> list[int]:
-    """The masks of `masks` that are the smallest of their orbit under the
-    group `generators` generate, in increasing order.
+    generators: Sequence[tuple[int, ...]], v: int, masks: Iterable[int]
+) -> Iterable[int]:
+    """The first mask of each orbit in `masks`, under the group that
+    `generators` (permutations of v bits) generate, in `masks` order.
 
-    `masks` is increasing and a union of orbits.  Each orbit is walked once
-    through the generators' mask image tables, from its smallest member.
+    `masks` is a union of orbits; read once, it may be an iterator.  When
+    it is increasing, the first mask of an orbit is its smallest.  Each
+    orbit is walked once through the generators' image tables.
     """
     if not generators:
         return masks
@@ -352,8 +362,12 @@ def _orbit_minima(
         stack = [mask]
         while stack:
             m = stack.pop()
-            for img in images:
-                x = img[m]
+            for tables in images:
+                x = 0
+                rest = m
+                for table in tables:
+                    x |= table[rest & 255]
+                    rest >>= 8
                 if not marked[x]:
                     marked[x] = 1
                     stack.append(x)
@@ -364,6 +378,7 @@ def _children(
     parent: SimpleGraph,
     generators: tuple[tuple[int, ...], ...],
     predicate: Optional[Callable[[SimpleGraph, int], bool]],
+    room: int,
     final: bool,
 ) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...]]]:
     """Accepted children of `parent` with their automorphism generators.
@@ -379,17 +394,21 @@ def _children(
     restricts to an automorphism of the parent carrying one mask to the
     other.  So no child needs a second look.
 
-    A mask M is dropped before the child is built when z cannot have top
-    degree in the child, since the canonical-last vertex does: when
-    |M| < Δ(parent), or |M| = Δ(parent) and M meets a vertex of degree Δ.
-    Both tests are unchanged by automorphisms, so a dropped mask takes
-    its whole orbit with it.
+    A mask M is dropped before the child is built when it has more than
+    `room` members (the child would have more edges than the caller
+    keeps), or when z cannot have top degree in the child, since the
+    canonical-last vertex does: when |M| < Δ(parent), or |M| = Δ(parent)
+    and M meets a vertex of degree Δ.  These tests are unchanged by
+    automorphisms, so a dropped mask takes its whole orbit with it.
 
     With `final` set the children are leaves of the enumeration and their
     generators are never read, so a child whose z is alone in the last
     cell of the root refinement is accepted without a canonical form: the
-    canonical-last vertex lies in that cell, so it is z.  Such children
-    come with no generators.
+    canonical-last vertex lies in that cell, so it is z.  When z has
+    strictly the top degree, the first split of the refinement already
+    puts it alone in the last cell, and later splits never reorder cells,
+    so the child is accepted without refining.  Such children come with
+    no generators.
     """
     v = parent.n
     degrees = [row.bit_count() for row in parent.adj]
@@ -397,11 +416,15 @@ def _children(
     top = _mask(u for u in range(v) if degrees[u] == top_degree)
     masks = [
         mask for mask in range(1 << v)
-        if (size := mask.bit_count()) > top_degree or (size == top_degree and not mask & top)
+        if (size := mask.bit_count()) <= room
+        and (size > top_degree or (size == top_degree and not mask & top))
     ]
     for mask in _orbit_minima(generators, v, masks):
         child = parent.add_vertex(mask)
         if predicate is not None and not predicate(child, v):
+            continue
+        if final and mask.bit_count() > top_degree + bool(mask & top):
+            yield child, ()
             continue
         # the canonical-last vertex lies in the last cell of the root
         # refinement, as every leaf of the search refines it
@@ -424,6 +447,7 @@ def enumerate_graphs(
     *,
     ceiling: int = DEFAULT_ENUM_CEILING,
     predicate: Optional[Callable[[SimpleGraph, int], bool]] = None,
+    max_edges: Optional[Callable[[int], int]] = None,
 ) -> Iterator[SimpleGraph]:
     """Stream one representative per isomorphism class on n vertices.
 
@@ -434,13 +458,20 @@ def enumerate_graphs(
     the new vertex alone in the last cell.  Representatives are labeled
     graphs, yielded depth first in mask order.
 
+    `max_edges(v)` is the most edges a kept graph on v vertices may have;
+    a parent on v vertices with e edges then tries only masks of at most
+    max_edges(v + 1) - e members, so children over the cap are never
+    built.  Like the predicate below, the cap must hold on every graph
+    that the kept ones reach by deleting canonical-last vertices: a
+    constant cap does, and so does the complement's edge floor of
+    `turan._enum_ex`.
+
     `predicate(child, z)` prunes a just-augmented child (z is the new
     vertex); it must reject a graph only if no graph to be kept reaches it
     by deleting canonical-last vertices, which have top degree (hereditary
-    filters such as pattern-freeness qualify, and so does the edge floor
-    of `turan._enum_ex`), and it must judge two children alike when an
-    isomorphism between them fixes z.  A predicate that reads
-    vertex labels breaks the second rule and can lose classes.
+    filters such as pattern-freeness qualify), and it must judge two
+    children alike when an isomorphism between them fixes z.  A predicate
+    that reads vertex labels breaks the second rule and can lose classes.
     """
     if n < 0:
         raise InvalidInputError("invalid-order", str(n))
@@ -456,8 +487,9 @@ def enumerate_graphs(
         if g.n == n:
             yield g
             return
+        room = g.n if max_edges is None else max_edges(g.n + 1) - g.num_edges
         final = g.n + 1 == n
-        for child, child_gens in _children(g, gens, predicate, final):
+        for child, child_gens in _children(g, gens, predicate, room, final):
             yield from rec(child, child_gens)
 
     yield from rec(SimpleGraph.empty(1), ())

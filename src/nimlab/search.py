@@ -4,7 +4,8 @@ monochromatic pattern copies, over all k-colorings of K_n.
 The exact search is exhaustive and only feasible for tiny instances.
 It names the colors so that class sizes do not decrease, takes color 1
 from an isomorph-free enumeration of graphs with at most m/k edges, and
-splits the remaining edges among the other colors.  The heuristic is
+splits the remaining edges among the other colors, once per orbit of
+color 1's automorphism group.  The heuristic is
 steepest-ascent single-edge recoloring restarted from the explicit
 constructions and then from random colorings.
 """
@@ -16,9 +17,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .canon import CanonicalCode, canonical_code, enumerate_graphs
+from .canon import (
+    CanonicalCode,
+    _orbit_minima,
+    canonical_code,
+    canonical_form,
+    enumerate_graphs,
+)
 from .errors import InvalidInputError, RefusalError, ResourceLimitError
-from .graphs import SimpleGraph, edge_pairs
+from .graphs import SimpleGraph, edge_index, edge_pairs
 from .monoscan import EdgeColoring, _graph_nim, _nim_scan
 from .patterns import BipartitePattern
 from .turan import TuranCache, ex_exact
@@ -37,8 +44,8 @@ __all__ = [
 ]
 
 # Largest n the exhaustive search accepts, per color count: two colors
-# at n=9 score 154,354 colorings, three colors at n=6 would score 57,518.
-EXACT_CEILINGS = {2: 9, 3: 5}
+# at n=9 score 154,354 colorings, three colors at n=6 score 6,163.
+EXACT_CEILINGS = {2: 9, 3: 6}
 
 
 def _class_counts(coloring: EdgeColoring, pattern: BipartitePattern) -> list[int]:
@@ -105,58 +112,89 @@ def _smallest_classes(n: int, k: int):
     """One graph per isomorphism class with at most m // k edges.
 
     Every k-coloring class has a member whose class sizes do not decrease
-    with the color and whose color 1 is one of these graphs.  The edge
-    cap is hereditary and label-free, so the stream is the unfiltered
-    one minus the graphs above the cap.
+    with the color and whose color 1 is one of these graphs.  The cap
+    holds on every graph on the way to a capped one, so it is passed to
+    the enumeration as `max_edges`, and children over it are never built.
     """
     cap = n * (n - 1) // 2 // k
-    return enumerate_graphs(n, ceiling=max(n, 10),
-                            predicate=lambda child, z: child.num_edges <= cap)
+    return enumerate_graphs(n, ceiling=max(n, 10), max_edges=lambda v: cap)
+
+
+def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
+    """The coloring whose color c is the edge set of classes[c - 1]."""
+    n = classes[0].n
+    colors = [0] * (n * (n - 1) // 2)
+    for c, g in enumerate(classes, 1):
+        for u, v in g.edges():
+            colors[edge_index(n, u, v)] = c
+    return EdgeColoring(n, len(classes), colors)
 
 
 def _optima(pattern: BipartitePattern, colorings):
     """Best score over `colorings`, one coloring per optimal class, and
     the number scored.
 
-    Ties are held as color bytes and deduplicated once at the end by
-    `_coloring_key`.
+    A coloring comes as its tuple of class graphs, which are scored
+    directly.  Ties are held as such tuples; only they become
+    `EdgeColoring`s, deduplicated once at the end by `_coloring_key`.
     """
     best = -1
-    ties: list[bytes] = []
+    ties: list[tuple[SimpleGraph, ...]] = []
     nodes = 0
-    for col in colorings:
+    for classes in colorings:
         nodes += 1
-        score = sum(_class_counts(col, pattern))
+        score = sum(len(_graph_nim(g, pattern)[0]) for g in classes)
         if score > best:
             best, ties = score, []
         if score == best:
-            ties.append(bytes(col.colors))
+            ties.append(classes)
     optima = {}
-    for colors in ties:
-        opt = EdgeColoring(col.n, col.k, colors)
+    for classes in ties:
+        opt = _coloring(classes)
         optima.setdefault(_coloring_key(opt), opt)
     return best, list(optima.values()), nodes
 
 
 def _exact_two_color(n: int, pattern: BipartitePattern):
     """Color 1 is each smallest class, color 2 the rest."""
-    return _optima(pattern, (EdgeColoring.from_graph(g, k=2)
-                             for g in _smallest_classes(n, 2)))
+    return _optima(pattern, ((g, g.complement()) for g in _smallest_classes(n, 2)))
 
 
 def _exact_three_color(n: int, pattern: BipartitePattern):
-    """Split the rest of each smallest class into colors 2 and 3, color 2
-    no larger than color 3."""
+    """Split the rest of each smallest class g into colors 2 and 3, color 2
+    no smaller than g and no larger than color 3.
+
+    An automorphism of g carries a split to an isomorphic coloring, so
+    only one split of each orbit of Aut(g) is scored, the first in
+    `combinations` order.  A split is a mask over the rest of g in edge
+    order, and the generators of Aut(g) act on it as permutations of
+    those edges.  The masks are generated lazily, so memory grows with
+    the number of orbits, not of splits.
+    """
     def colorings():
         for g in _smallest_classes(n, 3):
-            base = EdgeColoring.from_graph(g, k=3, outside=3).colors
-            rest = [i for i, c in enumerate(base) if c == 3]
-            for size in range(g.num_edges, len(rest) // 2 + 1):
-                for sub in combinations(rest, size):
-                    colors = base.copy()
-                    for i in sub:
-                        colors[i] = 2
-                    yield EdgeColoring(n, 3, colors)
+            rest_graph = g.complement()
+            rest = list(rest_graph.edges())
+            index = {e: i for i, e in enumerate(rest)}
+            generators = [
+                tuple(index[(a, b) if a < b else (b, a)]
+                      for a, b in ((gamma[u], gamma[v]) for u, v in rest))
+                for gamma in canonical_form(g).generators
+            ]
+            masks = (
+                sum(1 << i for i in sub)
+                for size in range(g.num_edges, len(rest) // 2 + 1)
+                for sub in combinations(range(len(rest)), size)
+            )
+            for mask in _orbit_minima(generators, len(rest), masks):
+                rows = [0] * n
+                for i, (u, v) in enumerate(rest):
+                    if (mask >> i) & 1:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                two = SimpleGraph(n, tuple(rows))
+                three = SimpleGraph(n, tuple(a ^ b for a, b in zip(rest_graph.adj, rows)))
+                yield g, two, three
 
     return _optima(pattern, colorings())
 

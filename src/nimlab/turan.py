@@ -173,9 +173,15 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
     A level enumerates complements, whose canonical-last vertex has top
     degree there, so a minimum degree in the graph itself.  Deleting it
     leaves at least L(u-1) = L(u) - floor(2L(u)/u) of L(u) edges, so every
-    ancestor of a graph on v vertices with L(v) = m edges keeps L(u).
+    ancestor of a graph on v vertices with L(v) = m edges keeps L(u).  The
+    complement of such an ancestor has at most C(u, 2) - L(u) edges, the
+    enumeration's `max_edges(u)`, so complements over it are never built.
     """
     free = _pattern_free_predicate(pattern)
+
+    def pred(child: SimpleGraph, z: int) -> bool:
+        return free(child.complement(), z)
+
     value, wits = 0, [SimpleGraph.empty(n)]
     for v in range(2, n + 1):
         top = comb(v, 2) if v == 2 else min(comb(v, 2), v * value // (v - 2))
@@ -183,12 +189,9 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
             floor = {v: value}
             for u in range(v, 1, -1):
                 floor[u - 1] = floor[u] - 2 * floor[u] // u
-
-            def pred(child: SimpleGraph, z: int, floor=floor) -> bool:
-                return (child.num_edges <= comb(child.n, 2) - floor[child.n]
-                        and free(child.complement(), z))
-
-            wits = [g.complement() for g in enumerate_graphs(v, ceiling=v, predicate=pred)]
+            wits = [g.complement() for g in enumerate_graphs(
+                v, ceiling=v, predicate=pred,
+                max_edges=lambda u, floor=floor: comb(u, 2) - floor[u])]
             if wits:
                 break
     codes = sorted(encode_graph6(canonical_graph(w)) for w in wits)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -143,13 +144,72 @@ def test_enumerate_capped_n8_matches_oeis_a008406():
     # the cap makes the last level accept most children without a
     # canonical form, so the codes are checked apart
     want = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646]
-    graphs = list(enumerate_graphs(8, predicate=lambda child, z: child.num_edges <= 14))
+    graphs = list(enumerate_graphs(8, max_edges=lambda v: 14))
     hist = [0] * 15
     for g in graphs:
         hist[g.num_edges] += 1
     assert hist == want
     assert len(graphs) == sum(want) == 6996
     assert len({canonical_code(g) for g in graphs}) == 6996
+
+
+def test_edge_window_skips_building_children_over_the_cap(monkeypatch):
+    # of the 19,690 children the predicate-capped n = 8 sweep builds,
+    # 7,858 have more than 14 edges; the window never builds them
+    built = [0]
+    add_vertex = SimpleGraph.add_vertex
+
+    def counting(self, mask):
+        built[0] += 1
+        return add_vertex(self, mask)
+
+    monkeypatch.setattr(SimpleGraph, "add_vertex", counting)
+    assert sum(1 for _ in enumerate_graphs(8, max_edges=lambda v: 14)) == 6996
+    assert built[0] == 11832
+
+
+# ex(v, C4) for v = 0..8, OEIS A006855
+EX_C4 = (0, 0, 1, 3, 4, 6, 7, 9, 11)
+
+
+def _c4_descent_floors(v):
+    """The edge floors `turan._enum_ex` tries for C4 on v vertices, from
+    the averaging bound down to two levels under ex(v, C4)."""
+    top = comb(v, 2) if v == 2 else min(comb(v, 2), v * EX_C4[v - 1] // (v - 2))
+    for value in range(top, max(EX_C4[v] - 2, 0) - 1, -1):
+        floor = {v: value}
+        for u in range(v, 1, -1):
+            floor[u - 1] = floor[u] - 2 * floor[u] // u
+        yield floor
+
+
+@pytest.mark.parametrize("cap", ["k=2", "k=3", "c4 descent"])
+def test_edge_window_matches_predicate_cap(cap):
+    # max_edges yields the same labeled graphs in the same order as a
+    # predicate that rejects the children over the cap
+    if cap == "c4 descent":
+        free = _pattern_free_predicate(build_pattern("c4"))
+        cases = [
+            (v, lambda child, z: free(child.complement(), z),
+             lambda u, floor=floor: comb(u, 2) - floor[u])
+            for v in range(2, 9)
+            for floor in _c4_descent_floors(v)
+        ]
+    else:
+        k = int(cap[-1])
+        cases = [(n, None, lambda u, n=n: comb(n, 2) // k) for n in range(1, 9)]
+    yielded = 0
+    for n, predicate, max_edges in cases:
+        def capped(child, z, predicate=predicate, max_edges=max_edges):
+            return (child.num_edges <= max_edges(child.n)
+                    and (predicate is None or predicate(child, z)))
+
+        got = [(g.n, g.adj) for g in enumerate_graphs(
+            n, ceiling=n, predicate=predicate, max_edges=max_edges)]
+        want = [(g.n, g.adj) for g in enumerate_graphs(n, ceiling=n, predicate=capped)]
+        assert got == want, (cap, n)
+        yielded += len(got)
+    assert yielded > len(cases)
 
 
 def test_orbit_minima_match_brute_force():
@@ -194,8 +254,10 @@ def test_enumerate_with_predicate_prunes_hereditarily():
 def test_enumerate_matches_unpruned_augmentation(which):
     # trying only the smallest mask of each orbit of the parent's
     # automorphism group, dropping masks whose vertex cannot have top
-    # degree, and accepting a last-level child without a canonical form
-    # must not change which labeled graphs come out, nor their order
+    # degree, accepting a last-level child without a canonical form, and
+    # accepting one whose vertex has strictly the top degree without
+    # refining it (the unique-top shortcut) must not change which labeled
+    # graphs come out, nor their order
     predicate = {
         "none": None,
         "triangle-free": _tri_free,

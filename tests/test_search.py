@@ -14,6 +14,7 @@ from nimlab.monoscan import EdgeColoring, is_h_free, nim_edges
 from nimlab.patterns import build_pattern
 from nimlab.search import (
     EXACT_CEILINGS,
+    _class_counts,
     _coloring_key,
     _smallest_classes,
     f_exact,
@@ -71,6 +72,57 @@ def test_exact_three_color_matches_brute(k3):
     # k1,2 stays below m = 10 at n = 5, so a lost coloring class can show
     k12 = build_pattern("k1,2")
     assert f_exact(5, k12, 3).value == _brute_f(5, k12, 3) == 4
+
+
+def _reference_exact_three_color(n, pattern):
+    """Every split of the rest of each smallest class g into colors 2 and
+    3 over all `combinations`, color 2 no smaller than g and no larger
+    than color 3: the value, the keys of the optimal colorings, and the
+    number scored."""
+    best, ties, nodes = -1, [], 0
+    for g in _smallest_classes(n, 3):
+        base = EdgeColoring.from_graph(g, k=3, outside=3).colors
+        rest = [i for i, c in enumerate(base) if c == 3]
+        for size in range(g.num_edges, len(rest) // 2 + 1):
+            for sub in itertools.combinations(rest, size):
+                colors = base.copy()
+                for i in sub:
+                    colors[i] = 2
+                col = EdgeColoring(n, 3, colors)
+                nodes += 1
+                score = sum(_class_counts(col, pattern))
+                if score > best:
+                    best, ties = score, []
+                if score == best:
+                    ties.append(col)
+    return best, {_coloring_key(col) for col in ties}, nodes
+
+
+@pytest.mark.parametrize("name", ["c4", "k3", "k1,2", "k2,3", "c6"])
+def test_three_color_orbit_splits_match_all_combinations(name):
+    # one split per orbit of Aut(color 1) loses no optimal class
+    pattern = build_pattern(name)
+    for n in range(3, 6):
+        value, keys, _ = _reference_exact_three_color(n, pattern)
+        rep = f_exact(n, pattern, 3)
+        assert rep.value == value, (name, n)
+        got = [_coloring_key(col) for col in rep.colorings]
+        assert len(got) == len(set(got)) and set(got) == keys, (name, n)
+
+
+def test_three_color_scores_one_split_per_orbit(c4):
+    assert _reference_exact_three_color(5, c4)[2] == 1341
+    assert f_exact(5, c4, 3).nodes == 187
+
+
+def test_three_color_at_the_n6_ceiling(c4):
+    # the value and the 715 classes agree with the all-combinations split,
+    # which scores 57,518 colorings here
+    rep = f_exact(6, c4, 3)
+    assert rep.value == 15
+    assert len(rep.colorings) == 715
+    assert rep.nodes == 6163
+    assert rep.recount(c4) == [15] * 715
 
 
 @pytest.mark.parametrize("k", [2, 3])
