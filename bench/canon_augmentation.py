@@ -5,24 +5,25 @@ wall time and work counts.
 
 PATH is a checkout of the commit to compare against (`git archive` of it
 unpacked somewhere will do); this checkout is the change.  Each case runs
-in a fresh process per side and repeat (5 repeats), importing nimlab from
-that side's `src/`, with the two sides alternating.  Timed runs are
-unwrapped.  One more run per side installs the benchmark tracer
-(`perfbench/tracer.py`) and counts work that does not depend on the
-machine:
+in a fresh process per side and repeat (5 repeats, 1 for
+`f_exact(9, c4, 2)`), importing nimlab from that side's `src/`, with the
+two sides alternating.  Timed runs are unwrapped.  One more run per side
+installs the benchmark tracer (`perfbench/tracer.py`) and counts work
+that does not depend on the machine:
 
 - children built: `SimpleGraph.add_vertex` calls (only `canon` makes them)
 - `canonical_form`, `_refine` and `_leaf` calls, read from the tracer
+- `_copy_through` calls, read from the tracer: the matcher's work
 - for the `f_exact` cases, `SearchReport.nodes`: colorings scored
 
 Each side also hashes the case's output (the enumerated graphs in order,
 the `f_exact` report, the `_enum_ex` record), so equal hashes show that
-the outputs are byte-identical.  For `f_exact(5, c4, 3)` the output is
-the value and the sorted `_coloring_key`s of the optima, since the
-three-color search may list optima in another order and `nodes` is a
-count; the keys are computed inside the timed run, alike on both sides.
-The result goes to FILE, by default
-`bench/BENCH_canon_augmentation.json`.
+the outputs are byte-identical.  The hashed `f_exact` reports leave out
+`nodes`, which is reported as a count instead.  For `f_exact(5, c4, 3)`
+the output is the value and the sorted `_coloring_key`s of the optima,
+since the three-color search may list optima in another order; the keys
+are computed inside the timed run, alike on both sides.  The result goes
+to FILE, by default `bench/BENCH_canon_augmentation.json`.
 
 `enumerate_graphs(8, m <= 14)` is the sweep behind `f_exact(8, c4, 2)`:
 every class on 8 vertices with at most 14 edges, capped by a predicate.
@@ -51,7 +52,9 @@ OUT = os.path.join(HERE, "BENCH_canon_augmentation.json")
 REPEAT = 5
 
 CASES = ("enumerate_graphs(8)", "enumerate_graphs(8, m <= 14)", "search._smallest_classes(8, 2)",
-         "f_exact(8, c4, 2)", "f_exact(5, c4, 3)", "_enum_ex(8, c6)")
+         "f_exact(8, c4, 2)", "f_exact(9, c4, 2)", "f_exact(5, c4, 3)", "_enum_ex(8, c6)")
+SINGLE = ("f_exact(9, c4, 2)",)  # cases run once per side, too slow to repeat
+TWO_COLOR = {"f_exact(8, c4, 2)": 8, "f_exact(9, c4, 2)": 9}  # case -> n
 COUNTED = ("add_vertex", "canonical_form", "_refine", "_leaf")
 
 
@@ -70,9 +73,11 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
         return json.dumps([[g.n, list(g.adj)] for g in capped]), None
     if case == "search._smallest_classes(8, 2)":
         return json.dumps([[g.n, list(g.adj)] for g in _smallest_classes(8, 2)]), None
-    if case == "f_exact(8, c4, 2)":
-        rep = f_exact(8, build_pattern("c4"), 2)
-        return json.dumps(rep.to_json(), sort_keys=True), rep.nodes
+    if case in TWO_COLOR:
+        rep = f_exact(TWO_COLOR[case], build_pattern("c4"), 2)
+        doc = rep.to_json()
+        del doc["nodes"]
+        return json.dumps(doc, sort_keys=True), rep.nodes
     if case == "f_exact(5, c4, 3)":
         rep = f_exact(5, build_pattern("c4"), 3)
         keys = sorted(_coloring_key(c).hex() for c in rep.colorings)
@@ -102,6 +107,7 @@ def _install_counters():
     return lambda: {
         "add_vertex": added[0],
         **{name: tracer.layer(f"canon.{name}")["calls"] for name in COUNTED[1:]},
+        "_copy_through": tracer.layer("monoscan._copy_through")["calls"],
     }
 
 
@@ -152,7 +158,7 @@ def main() -> None:
         entry = {}
         walls: dict[str, list[float]] = {side: [] for side in sides}
         digests: dict[str, set[str]] = {side: set() for side in sides}
-        for r in range(REPEAT):
+        for r in range(1 if case in SINGLE else REPEAT):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for side in order:
                 run = _spawn(sides[side], case, counted=False)
@@ -168,6 +174,7 @@ def main() -> None:
                 "canonical_form_calls": run["counts"]["canonical_form"],
                 "refine_calls": run["counts"]["_refine"],
                 "leaf_calls": run["counts"]["_leaf"],
+                "copy_through_calls": run["counts"]["_copy_through"],
                 "search_nodes": run["counts"]["nodes"],
                 "output_sha256": sorted(digests[side]),
             }

@@ -472,6 +472,9 @@ def enumerate_graphs(
     filters such as pattern-freeness qualify), and it must judge two
     children alike when an isomorphism between them fixes z.  A predicate
     that reads vertex labels breaks the second rule and can lose classes.
+    A predicate may tighten over a run, as a branch and bound's does when
+    its best score grows, if it only ever rejects graphs whose
+    descendants cannot be kept.
     """
     if n < 0:
         raise InvalidInputError("invalid-order", str(n))

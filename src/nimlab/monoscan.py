@@ -265,7 +265,7 @@ class NimReport:
 
 
 def _nim_scan(rows: list[int], pattern: BipartitePattern,
-              edges: Iterable[tuple[int, int]]):
+              edges: Iterable[tuple[int, int]], need: Optional[int] = None):
     """Which of `edges` (pairs u < v of the graph with adjacency `rows`)
     no pattern copy inside the graph passes through.
 
@@ -273,10 +273,21 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
     other edge the scan settled: a copy through it, as its vertex image
     (pattern vertex -> host vertex).  Edges of a found copy are skipped
     later: an edge covered by some copy can never be NIM.
+
+    With a floor `need`, `edges` must be every edge of the graph, so
+    that every witnessed edge is one of them; the scan then returns None
+    as soon as fewer than `need` of them can still be NIM, that is, as
+    soon as len(edges) - len(witness) < need.
     """
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
     pedges = list(pattern.graph.edges())
     nim = []
+    limit = None  # most edges that may be witnessed
+    if need is not None and need > 0:
+        edges = list(edges)
+        limit = len(edges) - need
+        if limit < 0:
+            return None
     for u, v in edges:
         if (u, v) in witness:
             continue
@@ -287,13 +298,15 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
             for a, b in pedges:
                 x, y = img[a], img[b]
                 witness[(x, y) if x < y else (y, x)] = img
+            if limit is not None and len(witness) > limit:
+                return None
     return nim, witness
 
 
-def _graph_nim(g: SimpleGraph, pattern: BipartitePattern):
+def _graph_nim(g: SimpleGraph, pattern: BipartitePattern, need: Optional[int] = None):
     """NIM edges of g in edge order, and a witness copy for each other
-    edge of g (see `_nim_scan`)."""
-    return _nim_scan(g.adj, pattern, g.edges())
+    edge of g (see `_nim_scan`, also for the floor `need`)."""
+    return _nim_scan(g.adj, pattern, g.edges(), need)
 
 
 def nim_edges(coloring: EdgeColoring, pattern: BipartitePattern) -> NimReport:

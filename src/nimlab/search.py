@@ -5,7 +5,11 @@ The exact search is exhaustive and only feasible for tiny instances.
 It names the colors so that class sizes do not decrease, takes color 1
 from an isomorph-free enumeration of graphs with at most m/k edges, and
 splits the remaining edges among the other colors, once per orbit of
-color 1's automorphism group.  The heuristic is
+color 1's automorphism group.  It is a branch and bound over the best
+score so far: a coloring is finished only while it can still reach that
+score, and for two colors a whole subtree of color-1 graphs is dropped
+once a pattern copy inside a small vertex set rules it out.  The
+heuristic is
 steepest-ascent single-edge recoloring restarted from the explicit
 constructions and then from random colorings.
 """
@@ -59,7 +63,9 @@ class SearchReport:
 
     `value` is the best count found and, in exact mode, the true maximum;
     `colorings` then lists every optimum up to vertex relabeling and color
-    renaming.  `nodes` counts colorings whose score was evaluated.
+    renaming.  `nodes` counts the colorings scored: in exact mode those
+    left after the pruning of color-1 subtrees, including colorings
+    dropped unfinished by the bound on the best score.
     """
 
     n: int
@@ -108,16 +114,18 @@ def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
     return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)])
 
 
-def _smallest_classes(n: int, k: int):
+def _smallest_classes(n: int, k: int, predicate=None):
     """One graph per isomorphism class with at most m // k edges.
 
     Every k-coloring class has a member whose class sizes do not decrease
     with the color and whose color 1 is one of these graphs.  The cap
     holds on every graph on the way to a capped one, so it is passed to
     the enumeration as `max_edges`, and children over it are never built.
+    `predicate` is passed on to the enumeration.
     """
     cap = n * (n - 1) // 2 // k
-    return enumerate_graphs(n, ceiling=max(n, 10), max_edges=lambda v: cap)
+    return enumerate_graphs(n, ceiling=max(n, 10), predicate=predicate,
+                            max_edges=lambda v: cap)
 
 
 def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
@@ -130,34 +138,98 @@ def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
     return EdgeColoring(n, len(classes), colors)
 
 
-def _optima(pattern: BipartitePattern, colorings):
-    """Best score over `colorings`, one coloring per optimal class, and
-    the number scored.
+def _nim_count(g: SimpleGraph, pattern: BipartitePattern, need: int) -> Optional[int]:
+    """NIM count of g, or None once fewer than `need` edges of g can be NIM."""
+    scan = _graph_nim(g, pattern, need)
+    return None if scan is None else len(scan[0])
 
-    A coloring comes as its tuple of class graphs, which are scored
-    directly.  Ties are held as such tuples; only they become
-    `EdgeColoring`s, deduplicated once at the end by `_coloring_key`.
+
+def _optima(pattern: BipartitePattern, groups, best: list[int]):
+    """Best score over the colorings in `groups`, one coloring per
+    optimal class, and the number of colorings scored, finished or not.
+
+    `groups` yields pairs (g, splits): color 1 of each coloring is g, and
+    each split is the tuple of its other class graphs.  g is scanned once
+    for all its splits, and its count starts every split's score.  The
+    other classes are scanned in turn with the floor `need` = best -
+    score so far - edges of the classes still unscanned, so a coloring
+    is dropped unfinished once even all its unsettled edges being NIM
+    would leave it below the best score so far.  The drop is strict, so
+    every coloring that ties the final best is finished.  `best` is a
+    one-item list holding that running best; it is raised here as the
+    colorings go by, so the caller's enumeration can prune with it too.
+
+    Ties are held as tuples of class graphs; only they become
+    `EdgeColoring`s.  Two ties are deduplicated by `_coloring_key` only
+    when each has two classes of one size.  A tie whose class sizes are
+    distinct is isomorphic to no other tie: an isomorphism keeps class
+    sizes, and with the sizes increasing with the color, it cannot
+    rename colors, so it carries color 1 to color 1.  Color 1 comes from
+    one graph per isomorphism class, so both ties have the same g and
+    the vertex map is an automorphism of g, carrying one split to the
+    other; but the splits of g lie in different orbits of Aut(g).
     """
-    best = -1
     ties: list[tuple[SimpleGraph, ...]] = []
     nodes = 0
-    for classes in colorings:
-        nodes += 1
-        score = sum(len(_graph_nim(g, pattern)[0]) for g in classes)
-        if score > best:
-            best, ties = score, []
-        if score == best:
-            ties.append(classes)
-    optima = {}
+    for g, splits in groups:
+        base = len(_graph_nim(g, pattern)[0])
+        for rest in splits:
+            nodes += 1
+            score = base
+            left = sum(h.num_edges for h in rest)
+            for h in rest:
+                left -= h.num_edges
+                count = _nim_count(h, pattern, best[0] - score - left)
+                if count is None:
+                    break
+                score += count
+            else:
+                if score > best[0]:
+                    best[0], ties = score, []
+                if score == best[0]:
+                    ties.append((g, *rest))
+    optima, keys = [], set()
     for classes in ties:
         opt = _coloring(classes)
-        optima.setdefault(_coloring_key(opt), opt)
-    return best, list(optima.values()), nodes
+        if len({h.num_edges for h in classes}) < len(classes):
+            key = _coloring_key(opt)
+            if key in keys:
+                continue
+            keys.add(key)
+        optima.append(opt)
+    return best[0], optima, nodes
 
 
 def _exact_two_color(n: int, pattern: BipartitePattern):
-    """Color 1 is each smallest class, color 2 the rest."""
-    return _optima(pattern, ((g, g.complement()) for g in _smallest_classes(n, 2)))
+    """Color 1 is each smallest class, color 2 the rest.
+
+    A branch and bound over the enumeration of color 1.  A copy inside
+    K_v stays a copy in every coloring of K_n that extends it, so a
+    2-coloring (g, complement of g in K_v) of K_v bounds the score of
+    every such extension by C(n, 2) - C(v, 2) + its own score.  Every
+    graph that the enumeration reaches from g by adding vertices has g as
+    an induced subgraph, so a child g on v < n vertices whose bound falls
+    below the best score so far is rejected with its subtree.  The bound
+    is isomorphism-invariant, and it is strict while the best only grows,
+    so every optimal class survives.
+    """
+    m = n * (n - 1) // 2
+    best = [-1]
+
+    def hopeful(child: SimpleGraph, z: int) -> bool:
+        v = child.n
+        outside = m - v * (v - 1) // 2
+        if v == n or outside >= best[0]:
+            return True
+        rest = child.complement()
+        nim = _nim_count(child, pattern, best[0] - outside - rest.num_edges)
+        if nim is None:
+            return False
+        need = best[0] - outside - nim
+        return need <= 0 or _nim_count(rest, pattern, need) is not None
+
+    graphs = _smallest_classes(n, 2, hopeful)
+    return _optima(pattern, ((g, [(g.complement(),)]) for g in graphs), best)
 
 
 def _exact_three_color(n: int, pattern: BipartitePattern):
@@ -171,32 +243,32 @@ def _exact_three_color(n: int, pattern: BipartitePattern):
     those edges.  The masks are generated lazily, so memory grows with
     the number of orbits, not of splits.
     """
-    def colorings():
-        for g in _smallest_classes(n, 3):
-            rest_graph = g.complement()
-            rest = list(rest_graph.edges())
-            index = {e: i for i, e in enumerate(rest)}
-            generators = [
-                tuple(index[(a, b) if a < b else (b, a)]
-                      for a, b in ((gamma[u], gamma[v]) for u, v in rest))
-                for gamma in canonical_form(g).generators
-            ]
-            masks = (
-                sum(1 << i for i in sub)
-                for size in range(g.num_edges, len(rest) // 2 + 1)
-                for sub in combinations(range(len(rest)), size)
-            )
-            for mask in _orbit_minima(generators, len(rest), masks):
-                rows = [0] * n
-                for i, (u, v) in enumerate(rest):
-                    if (mask >> i) & 1:
-                        rows[u] |= 1 << v
-                        rows[v] |= 1 << u
-                two = SimpleGraph(n, tuple(rows))
-                three = SimpleGraph(n, tuple(a ^ b for a, b in zip(rest_graph.adj, rows)))
-                yield g, two, three
+    def splits(g: SimpleGraph):
+        rest_graph = g.complement()
+        rest = list(rest_graph.edges())
+        index = {e: i for i, e in enumerate(rest)}
+        generators = [
+            tuple(index[(a, b) if a < b else (b, a)]
+                  for a, b in ((gamma[u], gamma[v]) for u, v in rest))
+            for gamma in canonical_form(g).generators
+        ]
+        masks = (
+            sum(1 << i for i in sub)
+            for size in range(g.num_edges, len(rest) // 2 + 1)
+            for sub in combinations(range(len(rest)), size)
+        )
+        for mask in _orbit_minima(generators, len(rest), masks):
+            rows = [0] * n
+            for i, (u, v) in enumerate(rest):
+                if (mask >> i) & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            two = SimpleGraph(n, tuple(rows))
+            three = SimpleGraph(n, tuple(a ^ b for a, b in zip(rest_graph.adj, rows)))
+            yield two, three
 
-    return _optima(pattern, colorings())
+    groups = ((g, splits(g)) for g in _smallest_classes(n, 3))
+    return _optima(pattern, groups, [-1])
 
 
 def _check_search_args(n: int, pattern: BipartitePattern, k: int) -> None:

@@ -10,7 +10,7 @@ from test_acceptance import GOLDEN_PATH
 from nimlab.canon import enumerate_graphs
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
-from nimlab.monoscan import EdgeColoring, is_h_free, nim_edges
+from nimlab.monoscan import EdgeColoring, _graph_nim, is_h_free, nim_edges
 from nimlab.patterns import build_pattern
 from nimlab.search import (
     EXACT_CEILINGS,
@@ -123,6 +123,58 @@ def test_three_color_at_the_n6_ceiling(c4):
     assert len(rep.colorings) == 715
     assert rep.nodes == 6163
     assert rep.recount(c4) == [15] * 715
+
+
+def _reference_exact_two_color(n, pattern):
+    """Score (g, complement) for every smallest class g, unpruned: the
+    value and one coloring per optimal class, in first-found order."""
+    best, ties = -1, []
+    for g in _smallest_classes(n, 2):
+        col = EdgeColoring.from_graph(g, k=2)
+        score = sum(_class_counts(col, pattern))
+        if score > best:
+            best, ties = score, []
+        if score == best:
+            ties.append(col)
+    optima = {}
+    for col in ties:
+        optima.setdefault(_coloring_key(col), col)
+    return best, list(optima.values())
+
+
+@pytest.mark.parametrize("name", ["c4", "k3", "k2,3", "c6", "theta2,3", "k3,3"])
+def test_two_color_bounds_keep_every_optimum_in_order(name):
+    # the pruned search finishes only hopeful colorings and drops whole
+    # subtrees of color 1; the optima and their order must not change
+    pattern = build_pattern(name)
+    for n in range(2, 9):
+        value, optima = _reference_exact_two_color(n, pattern)
+        rep = f_exact(n, pattern, 2)
+        assert rep.value == value, (name, n)
+        assert list(rep.colorings) == optima, (name, n)
+        assert rep.optima_complete
+
+
+def test_bounded_nim_scan_stops_only_below_the_floor():
+    rng = random.Random(13)
+    pats = [build_pattern(s) for s in ("k1,2", "k3", "c4", "k2,3", "c6")]
+    for _ in range(150):
+        n = rng.randrange(2, 9)
+        g = EdgeColoring.random(n, 2, seed=rng.randrange(2 ** 32)).class_graph(1)
+        pattern = rng.choice(pats)
+        nim, witness = _graph_nim(g, pattern)
+        for need in range(-1, g.num_edges + 2):
+            got = _graph_nim(g, pattern, need)
+            if len(nim) < need:
+                assert got is None, (n, pattern.name, need)
+            else:
+                assert got is not None and got[0] == nim, (n, pattern.name, need)
+
+
+def test_two_color_node_count_after_pruning(c4):
+    # colorings scored once the enumeration drops hopeless subtrees; all
+    # 6,996 classes with at most 14 edges are scored without the bound
+    assert f_exact(8, c4, 2).nodes == 4687
 
 
 @pytest.mark.parametrize("k", [2, 3])
