@@ -13,7 +13,10 @@ that does not depend on the machine:
 
 - children built: `SimpleGraph.add_vertex` calls (only `canon` makes them)
 - `canonical_form`, `_refine` and `_leaf` calls, read from the tracer
-- `_copy_through` calls, read from the tracer: the matcher's work
+- `_copy_through` calls, read from the tracer: the matcher's work; for
+  the two-color cases also split into the calls made inside the
+  enumeration's predicate (the scans of colorings of K_v, v < n) and
+  the rest (the scoring of the colorings of K_n)
 - for the `f_exact` cases, `SearchReport.nodes`: colorings scored
 
 Each side also hashes the case's output (the enumerated graphs in order,
@@ -52,9 +55,15 @@ OUT = os.path.join(HERE, "BENCH_canon_augmentation.json")
 REPEAT = 5
 
 CASES = ("enumerate_graphs(8)", "enumerate_graphs(8, m <= 14)", "search._smallest_classes(8, 2)",
-         "f_exact(8, c4, 2)", "f_exact(9, c4, 2)", "f_exact(5, c4, 3)", "_enum_ex(8, c6)")
+         "f_exact(8, c4, 2)", "f_exact(8, c6, 2)", "f_exact(8, k2,3, 2)", "f_exact(9, c4, 2)",
+         "f_exact(5, c4, 3)", "_enum_ex(8, c6)")
 SINGLE = ("f_exact(9, c4, 2)",)  # cases run once per side, too slow to repeat
-TWO_COLOR = {"f_exact(8, c4, 2)": 8, "f_exact(9, c4, 2)": 9}  # case -> n
+TWO_COLOR = {  # case -> (n, pattern)
+    "f_exact(8, c4, 2)": (8, "c4"),
+    "f_exact(8, c6, 2)": (8, "c6"),
+    "f_exact(8, k2,3, 2)": (8, "k2,3"),
+    "f_exact(9, c4, 2)": (9, "c4"),
+}
 COUNTED = ("add_vertex", "canonical_form", "_refine", "_leaf")
 
 
@@ -74,7 +83,8 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
     if case == "search._smallest_classes(8, 2)":
         return json.dumps([[g.n, list(g.adj)] for g in _smallest_classes(8, 2)]), None
     if case in TWO_COLOR:
-        rep = f_exact(TWO_COLOR[case], build_pattern("c4"), 2)
+        n, name = TWO_COLOR[case]
+        rep = f_exact(n, build_pattern(name), 2)
         doc = rep.to_json()
         del doc["nodes"]
         return json.dumps(doc, sort_keys=True), rep.nodes
@@ -88,8 +98,9 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
 
 
 def _install_counters():
-    """Install the benchmark tracer and count `add_vertex` calls beside it."""
-    from nimlab import graphs
+    """Install the benchmark tracer and count `add_vertex` calls beside it,
+    and `_copy_through` calls made inside an enumeration predicate."""
+    from nimlab import graphs, monoscan, search
 
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     mod = importlib.util.module_from_spec(spec)
@@ -104,10 +115,35 @@ def _install_counters():
         return add_vertex(self, mask)
 
     graphs.SimpleGraph.add_vertex = counting
+
+    in_predicate = [False]
+    predicate_calls = [0]
+    copy_through = monoscan._copy_through
+    smallest_classes = search._smallest_classes
+
+    def counting_copy_through(*args, **kwargs):
+        predicate_calls[0] += in_predicate[0]
+        return copy_through(*args, **kwargs)
+
+    def flagged(predicate):
+        def run(child, z):
+            in_predicate[0] = True
+            try:
+                return predicate(child, z)
+            finally:
+                in_predicate[0] = False
+        return run
+
+    def watched_classes(n, k, predicate=None):
+        return smallest_classes(n, k, None if predicate is None else flagged(predicate))
+
+    monoscan._copy_through = counting_copy_through
+    search._smallest_classes = watched_classes
     return lambda: {
         "add_vertex": added[0],
         **{name: tracer.layer(f"canon.{name}")["calls"] for name in COUNTED[1:]},
         "_copy_through": tracer.layer("monoscan._copy_through")["calls"],
+        "_copy_through_in_predicate": predicate_calls[0],
     }
 
 
@@ -175,6 +211,9 @@ def main() -> None:
                 "refine_calls": run["counts"]["_refine"],
                 "leaf_calls": run["counts"]["_leaf"],
                 "copy_through_calls": run["counts"]["_copy_through"],
+                "copy_through_in_predicate": run["counts"]["_copy_through_in_predicate"],
+                "copy_through_in_scoring": (run["counts"]["_copy_through"]
+                                            - run["counts"]["_copy_through_in_predicate"]),
                 "search_nodes": run["counts"]["nodes"],
                 "output_sha256": sorted(digests[side]),
             }

@@ -274,19 +274,20 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
     (pattern vertex -> host vertex).  Edges of a found copy are skipped
     later: an edge covered by some copy can never be NIM.
 
-    With a floor `need`, `edges` must be every edge of the graph, so
-    that every witnessed edge is one of them; the scan then returns None
-    as soon as fewer than `need` of them can still be NIM, that is, as
-    soon as len(edges) - len(witness) < need.
+    With a floor `need`, the scan returns None as soon as fewer than
+    `need` of `edges` can still be NIM, that is, as soon as fewer than
+    `need` of them are unwitnessed.  `edges` may be any of the graph's
+    edges: a witnessed edge outside them does not count.  A scan that
+    does not stop returns what it returns without a floor.
     """
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
     pedges = list(pattern.graph.edges())
     nim = []
-    limit = None  # most edges that may be witnessed
+    unsettled = None  # with a floor, the edges that may still be NIM
     if need is not None and need > 0:
         edges = list(edges)
-        limit = len(edges) - need
-        if limit < 0:
+        unsettled = set(edges)
+        if len(unsettled) < need:
             return None
     for u, v in edges:
         if (u, v) in witness:
@@ -298,8 +299,12 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
             for a, b in pedges:
                 x, y = img[a], img[b]
                 witness[(x, y) if x < y else (y, x)] = img
-            if limit is not None and len(witness) > limit:
-                return None
+            if unsettled is not None:
+                for a, b in pedges:
+                    x, y = img[a], img[b]
+                    unsettled.discard((x, y) if x < y else (y, x))
+                if len(unsettled) < need:
+                    return None
     return nim, witness
 
 

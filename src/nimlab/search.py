@@ -8,10 +8,12 @@ splits the remaining edges among the other colors, once per orbit of
 color 1's automorphism group.  It is a branch and bound over the best
 score so far: a coloring is finished only while it can still reach that
 score, and for two colors a whole subtree of color-1 graphs is dropped
-once a pattern copy inside a small vertex set rules it out.  The
-heuristic is
-steepest-ascent single-edge recoloring restarted from the explicit
-constructions and then from random colorings.
+once a pattern copy inside a small vertex set rules it out.  For two
+colors each coloring of K_v is scanned only on the pairs that its
+parent, the coloring of K_{v-1} it extends, left NIM and the pairs at
+the new vertex.  The heuristic is steepest-ascent single-edge
+recoloring restarted from the explicit constructions and then from
+random colorings.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 # Largest n the exhaustive search accepts, per color count: two colors
-# at n=9 score 154,354 colorings, three colors at n=6 score 6,163.
+# at n=9 score 59,797 colorings, three colors at n=6 score 6,163.
 EXACT_CEILINGS = {2: 9, 3: 6}
 
 
@@ -138,9 +140,11 @@ def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
     return EdgeColoring(n, len(classes), colors)
 
 
-def _nim_count(g: SimpleGraph, pattern: BipartitePattern, need: int) -> Optional[int]:
-    """NIM count of g, or None once fewer than `need` edges of g can be NIM."""
-    scan = _graph_nim(g, pattern, need)
+def _nim_count(g: SimpleGraph, pattern: BipartitePattern, edges,
+               need: Optional[int]) -> Optional[int]:
+    """NIM count of g, whose NIM edges all lie in `edges`, or None once
+    fewer than `need` of `edges` can be NIM."""
+    scan = _nim_scan(g.adj, pattern, edges, need)
     return None if scan is None else len(scan[0])
 
 
@@ -149,15 +153,19 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
     optimal class, and the number of colorings scored, finished or not.
 
     `groups` yields pairs (g, splits): color 1 of each coloring is g, and
-    each split is the tuple of its other class graphs.  g is scanned once
-    for all its splits, and its count starts every split's score.  The
-    other classes are scanned in turn with the floor `need` = best -
-    score so far - edges of the classes still unscanned, so a coloring
-    is dropped unfinished once even all its unsettled edges being NIM
-    would leave it below the best score so far.  The drop is strict, so
-    every coloring that ties the final best is finished.  `best` is a
-    one-item list holding that running best; it is raised here as the
-    colorings go by, so the caller's enumeration can prune with it too.
+    each split is the tuple of its other classes.  Every class comes as
+    a pair (graph, candidates): the edges of the graph that can be NIM,
+    all of them unless a scan of a subgraph has covered some.  g is
+    scanned once for all its splits, and its count starts every split's
+    score.  The other classes are scanned in turn with the floor `need`
+    = best - score so far - candidates of the classes still unscanned,
+    so a coloring is dropped unfinished once even all its unsettled
+    candidates being NIM would leave it below the best score so far.
+    When `splits` is a tuple of one split, as for two colors, g is
+    scanned with such a floor too.  The drop is strict, so every
+    coloring that ties the final best is finished.  `best` is a one-item
+    list holding that running best; it is raised here as the colorings
+    go by, so the caller's enumeration can prune with it too.
 
     Ties are held as tuples of class graphs; only they become
     `EdgeColoring`s.  Two ties are deduplicated by `_coloring_key` only
@@ -171,15 +179,21 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
     """
     ties: list[tuple[SimpleGraph, ...]] = []
     nodes = 0
-    for g, splits in groups:
-        base = len(_graph_nim(g, pattern)[0])
+    for (g, g_edges), splits in groups:
+        need = None
+        if isinstance(splits, tuple) and len(splits) == 1:
+            need = best[0] - sum(len(edges) for _, edges in splits[0])
+        base = _nim_count(g, pattern, g_edges, need)
+        if base is None:
+            nodes += 1
+            continue
         for rest in splits:
             nodes += 1
             score = base
-            left = sum(h.num_edges for h in rest)
-            for h in rest:
-                left -= h.num_edges
-                count = _nim_count(h, pattern, best[0] - score - left)
+            left = sum(len(edges) for _, edges in rest)
+            for h, edges in rest:
+                left -= len(edges)
+                count = _nim_count(h, pattern, edges, best[0] - score - left)
                 if count is None:
                     break
                 score += count
@@ -187,7 +201,7 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
                 if score > best[0]:
                     best[0], ties = score, []
                 if score == best[0]:
-                    ties.append((g, *rest))
+                    ties.append((g, *(h for h, _ in rest)))
     optima, keys = [], set()
     for classes in ties:
         opt = _coloring(classes)
@@ -198,6 +212,25 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
             keys.add(key)
         optima.append(opt)
     return best[0], optima, nodes
+
+
+def _candidates(kept: list, g: SimpleGraph, rest: SimpleGraph):
+    """The pairs of each class of the 2-coloring (g, rest) of K_v that can
+    be NIM, for color 1 and for color 2.
+
+    `kept[v - 1]`, when set, is a scanned 2-coloring of K_{v-1}: the rows
+    of its color 1 and the NIM pairs of each of its classes.  When it is
+    the parent of (g, rest), the coloring without its last vertex z, a
+    copy inside the parent is a copy in (g, rest), so only the parent's
+    NIM pairs and the pairs at z are returned.  Otherwise every edge is.
+    """
+    z = g.n - 1
+    parent = kept[z]
+    if parent is None or parent[0] != tuple(row & ~(1 << z) for row in g.adj[:z]):
+        return list(g.edges()), list(rest.edges())
+    at_z = g.adj[z]
+    return (parent[1] + [(u, z) for u in range(z) if at_z >> u & 1],
+            parent[2] + [(u, z) for u in range(z) if not at_z >> u & 1])
 
 
 def _exact_two_color(n: int, pattern: BipartitePattern):
@@ -212,24 +245,47 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
     below the best score so far is rejected with its subtree.  The bound
     is isomorphism-invariant, and it is strict while the best only grows,
     so every optimal class survives.
+
+    The same fact makes each scan incremental.  For every order v < n,
+    the search keeps the last 2-coloring of K_v whose two classes it
+    scanned in full, with the NIM pairs of each class.  A coloring of K_v
+    whose parent (the coloring without its last vertex z) is the one kept
+    for v - 1 can have NIM pairs only among the parent's NIM pairs and
+    the pairs at z, so only these are scanned; any other coloring is
+    scanned on all its edges, so no result depends on the order of the
+    enumeration.  The predicate scans both classes of every child on
+    v < n vertices that it accepts, even one it could accept unscanned,
+    so in the depth-first enumeration every coloring finds its parent
+    kept.
     """
     m = n * (n - 1) // 2
     best = [-1]
+    kept: list = [None] * n  # v -> the kept 2-coloring of K_v (see _candidates)
 
     def hopeful(child: SimpleGraph, z: int) -> bool:
         v = child.n
-        outside = m - v * (v - 1) // 2
-        if v == n or outside >= best[0]:
+        if v == n:
             return True
+        outside = m - v * (v - 1) // 2
         rest = child.complement()
-        nim = _nim_count(child, pattern, best[0] - outside - rest.num_edges)
-        if nim is None:
+        one, two = _candidates(kept, child, rest)
+        scan = _nim_scan(child.adj, pattern, one, best[0] - outside - len(two))
+        if scan is None:
             return False
-        need = best[0] - outside - nim
-        return need <= 0 or _nim_count(rest, pattern, need) is not None
+        rest_scan = _nim_scan(rest.adj, pattern, two, best[0] - outside - len(scan[0]))
+        if rest_scan is None:
+            return False
+        kept[v] = (child.adj, scan[0], rest_scan[0])
+        return True
 
-    graphs = _smallest_classes(n, 2, hopeful)
-    return _optima(pattern, ((g, [(g.complement(),)]) for g in graphs), best)
+    def groups():
+        for g in _smallest_classes(n, 2, hopeful):
+            rest = g.complement()
+            one, two = _candidates(kept, g, rest)
+            split = ((rest, two),)
+            yield (g, one), (split,)
+
+    return _optima(pattern, groups(), best)
 
 
 def _exact_three_color(n: int, pattern: BipartitePattern):
@@ -265,9 +321,9 @@ def _exact_three_color(n: int, pattern: BipartitePattern):
                     rows[v] |= 1 << u
             two = SimpleGraph(n, tuple(rows))
             three = SimpleGraph(n, tuple(a ^ b for a, b in zip(rest_graph.adj, rows)))
-            yield two, three
+            yield (two, list(two.edges())), (three, list(three.edges()))
 
-    groups = ((g, splits(g)) for g in _smallest_classes(n, 3))
+    groups = (((g, list(g.edges())), splits(g)) for g in _smallest_classes(n, 3))
     return _optima(pattern, groups, [-1])
 
 

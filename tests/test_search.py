@@ -10,10 +10,12 @@ from test_acceptance import GOLDEN_PATH
 from nimlab.canon import enumerate_graphs
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
-from nimlab.monoscan import EdgeColoring, _graph_nim, is_h_free, nim_edges
+from nimlab import monoscan
+from nimlab.monoscan import EdgeColoring, _graph_nim, _nim_scan, is_h_free, nim_edges
 from nimlab.patterns import build_pattern
 from nimlab.search import (
     EXACT_CEILINGS,
+    _candidates,
     _class_counts,
     _coloring_key,
     _smallest_classes,
@@ -156,25 +158,96 @@ def test_two_color_bounds_keep_every_optimum_in_order(name):
 
 
 def test_bounded_nim_scan_stops_only_below_the_floor():
+    # on any list of the graph's edges, a floor `need` gives None exactly
+    # when fewer than `need` of the listed edges are NIM, and otherwise
+    # the unbounded scan of that list, witnesses included (a floor <= 0
+    # scans as without one)
     rng = random.Random(13)
     pats = [build_pattern(s) for s in ("k1,2", "k3", "c4", "k2,3", "c6")]
     for _ in range(150):
         n = rng.randrange(2, 9)
         g = EdgeColoring.random(n, 2, seed=rng.randrange(2 ** 32)).class_graph(1)
         pattern = rng.choice(pats)
-        nim, witness = _graph_nim(g, pattern)
-        for need in range(-1, g.num_edges + 2):
-            got = _graph_nim(g, pattern, need)
-            if len(nim) < need:
-                assert got is None, (n, pattern.name, need)
-            else:
-                assert got is not None and got[0] == nim, (n, pattern.name, need)
+        full_nim, full_witness = _graph_nim(g, pattern)
+        pedges = list(pattern.graph.edges())
+        for (u, v), img in full_witness.items():
+            copy = {tuple(sorted((img[a], img[b]))) for a, b in pedges}
+            assert len(set(img)) == pattern.h and (u, v) in copy
+            assert all(g.has_edge(x, y) for x, y in copy)
+        edges = list(g.edges())
+        lists = [edges]
+        for _ in range(3):
+            sub = [e for e in edges if rng.random() < 0.5]
+            rng.shuffle(sub)
+            lists.append(sub)
+        # a copy inside g minus its last vertex z stays a copy in g, so the
+        # NIM pairs of g lie among that graph's NIM pairs and the edges at z
+        z = n - 1
+        grown = _graph_nim(g.delete_vertex(z), pattern)[0]
+        grown += [(u, z) for u in range(z) if g.has_edge(u, z)]
+        assert set(full_nim) <= set(grown)
+        lists.append(grown)
+        for listed in lists:
+            nim, witness = _nim_scan(g.adj, pattern, listed)
+            assert nim == [e for e in listed if e in set(full_nim)]
+            for need in range(-1, len(listed) + 2):
+                got = _nim_scan(g.adj, pattern, iter(listed), need)
+                if len(nim) < need:
+                    assert got is None, (n, pattern.name, listed, need)
+                else:
+                    assert got == (nim, witness), (n, pattern.name, listed, need)
 
 
 def test_two_color_node_count_after_pruning(c4):
     # colorings scored once the enumeration drops hopeless subtrees; all
     # 6,996 classes with at most 14 edges are scored without the bound
     assert f_exact(8, c4, 2).nodes == 4687
+
+
+def test_two_color_candidates_cover_every_nim_pair():
+    # a kept parent narrows the scan to its NIM pairs and the pairs at the
+    # last vertex z; a kept coloring that is not the parent must not
+    rng = random.Random(29)
+    pats = [build_pattern(s) for s in ("k1,2", "k3", "c4", "k2,3")]
+    for _ in range(200):
+        n = rng.randrange(2, 9)
+        pattern = rng.choice(pats)
+        g = EdgeColoring.random(n, 2, seed=rng.randrange(2 ** 32)).class_graph(1)
+        rest = g.complement()
+        z = n - 1
+        parent = g.delete_vertex(z)
+        if rng.random() < 0.5:
+            parent = EdgeColoring.random(z, 2, seed=rng.randrange(2 ** 32)).class_graph(1)
+        is_parent = parent == g.delete_vertex(z)
+        kept = [None] * n
+        kept[z] = (parent.adj, _graph_nim(parent, pattern)[0],
+                   _graph_nim(parent.complement(), pattern)[0])
+        one, two = _candidates(kept, g, rest)
+        for h, listed, kept_nim in ((g, one, kept[z][1]), (rest, two, kept[z][2])):
+            edges = list(h.edges())
+            assert set(_graph_nim(h, pattern)[0]) <= set(listed) <= set(edges)
+            assert len(set(listed)) == len(listed)
+            if is_parent:
+                at_z = [(u, z) for u in range(z) if h.has_edge(u, z)]
+                assert listed == kept_nim + at_z
+            else:
+                assert listed == edges
+
+
+def test_two_color_scans_only_pairs_that_can_be_nim(c4, monkeypatch):
+    # each coloring is scanned on its parent's NIM pairs and the pairs at
+    # the new vertex, and color 1 of a coloring of K_n under a floor; the
+    # search scanning every edge made 57,087 matcher calls here
+    calls = [0]
+    copy_through = monoscan._copy_through
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return copy_through(*args, **kwargs)
+
+    monkeypatch.setattr(monoscan, "_copy_through", counting)
+    assert f_exact(8, c4, 2).value == 11
+    assert calls[0] == 20420
 
 
 @pytest.mark.parametrize("k", [2, 3])
