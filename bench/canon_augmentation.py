@@ -134,8 +134,8 @@ def _install_counters():
                 in_predicate[0] = False
         return run
 
-    def watched_classes(n, k, predicate=None):
-        return smallest_classes(n, k, None if predicate is None else flagged(predicate))
+    def watched_classes(n, k, predicate=None, **kwargs):
+        return smallest_classes(n, k, None if predicate is None else flagged(predicate), **kwargs)
 
     monoscan._copy_through = counting_copy_through
     search._smallest_classes = watched_classes

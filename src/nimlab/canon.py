@@ -30,7 +30,12 @@ where nothing reads it:
   root refinement is kept without a canonical form: the canonical-last
   vertex lies in that cell, and the child's generators are never read.
   When z has strictly the top degree it is alone there, and the child is
-  kept without refining it.
+  kept without refining it.  Otherwise a last-level child is kept iff its
+  canonical form puts z in the orbit of the canonical-last vertex.
+- A caller that reads only some of the last level can take every child
+  there with this test not yet run (`_untested_last_level`) and run it
+  only on the children it would keep: the exact two-color search runs it
+  only on colorings that reach its best score.
 
 The output does not depend on these shortcuts: the same labeled graphs
 come out in the same order as from trying every mask.
@@ -374,14 +379,41 @@ def _orbit_minima(
     return minima
 
 
+def _last_level_test(child: SimpleGraph, strict_top: bool) -> bool:
+    """Whether canonical augmentation keeps `child`, a child on the last
+    level whose new vertex z = child.n - 1 has strictly the top degree
+    when `strict_top` is set.
+
+    z is kept iff it lies in the orbit of the canonical-last vertex, which
+    lies in the last cell of the root refinement, as every leaf of the
+    canonical search refines it.  So z outside that cell is rejected and z
+    alone in it is accepted, both without a canonical form.  When z has
+    strictly the top degree, the first split of the refinement already
+    puts it alone in the last cell, and later splits never reorder cells,
+    so it is accepted without refining.
+    """
+    if strict_top:
+        return True
+    z = child.n - 1
+    root = _refine(child.adj, [list(range(child.n))])
+    cell = root[-1]
+    if z not in cell:
+        return False
+    if len(cell) == 1:
+        return True
+    res = canonical_form(child, _root_cells=root)
+    return res.orbits[z] == res.orbits[res.labeling.index(z)]
+
+
 def _children(
     parent: SimpleGraph,
     generators: tuple[tuple[int, ...], ...],
     predicate: Optional[Callable[[SimpleGraph, int], bool]],
     room: int,
     final: bool,
-) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...]]]:
-    """Accepted children of `parent` with their automorphism generators.
+) -> Iterator[tuple[SimpleGraph, object]]:
+    """Children of `parent` that the predicate keeps, each with its
+    automorphism generators, or on the last level with its test.
 
     `generators` generate the parent's automorphism group.  Only the
     smallest mask of each orbit of that group is tried: an automorphism
@@ -401,14 +433,11 @@ def _children(
     and M meets a vertex of degree Δ.  These tests are unchanged by
     automorphisms, so a dropped mask takes its whole orbit with it.
 
-    With `final` set the children are leaves of the enumeration and their
-    generators are never read, so a child whose z is alone in the last
-    cell of the root refinement is accepted without a canonical form: the
-    canonical-last vertex lies in that cell, so it is z.  When z has
-    strictly the top degree, the first split of the refinement already
-    puts it alone in the last cell, and later splits never reorder cells,
-    so the child is accepted without refining.  Such children come with
-    no generators.
+    Below the last level only accepted children are yielded.  With `final`
+    set the children are leaves of the enumeration and their generators
+    are never read, so every child the predicate keeps is yielded with
+    its canonical-augmentation test (`_last_level_test`) as a callable
+    not yet run; a child is accepted iff it returns True.
     """
     v = parent.n
     degrees = [row.bit_count() for row in parent.adj]
@@ -423,23 +452,54 @@ def _children(
         child = parent.add_vertex(mask)
         if predicate is not None and not predicate(child, v):
             continue
-        if final and mask.bit_count() > top_degree + bool(mask & top):
-            yield child, ()
+        if final:
+            strict = mask.bit_count() > top_degree + bool(mask & top)
+            yield child, (lambda child=child, strict=strict: _last_level_test(child, strict))
             continue
         # the canonical-last vertex lies in the last cell of the root
         # refinement, as every leaf of the search refines it
         root = _refine(child.adj, [list(range(v + 1))])
-        cell = root[-1]
-        if v not in cell:
-            continue
-        if final and len(cell) == 1:
-            yield child, ()
+        if v not in root[-1]:
             continue
         res = canonical_form(child, _root_cells=root)
         last = res.labeling.index(v)  # vertex occupying the last canonical position
         if res.orbits[v] != res.orbits[last]:
             continue
         yield child, res.generators
+
+
+def _untested_last_level(
+    n: int,
+    *,
+    ceiling: int,
+    predicate: Optional[Callable[[SimpleGraph, int], bool]],
+    max_edges: Optional[Callable[[int], int]],
+) -> Iterator[tuple[SimpleGraph, Callable[[], bool]]]:
+    """`enumerate_graphs` with the canonical test of the last level left to
+    the caller: every child on n vertices that the predicate keeps, each
+    with its test, in the order of the enumeration.  Filtered by the tests,
+    the stream is exactly `enumerate_graphs`'; every child that fails its
+    test is isomorphic to one that passes."""
+    if n < 0:
+        raise InvalidInputError("invalid-order", str(n))
+    if n > ceiling:
+        raise ResourceLimitError(
+            "enumeration-ceiling", f"n={n} exceeds ceiling {ceiling}"
+        )
+    if n <= 1:
+        g = SimpleGraph.empty(n)
+        yield g, (lambda: True)
+        return
+
+    def rec(g: SimpleGraph, gens) -> Iterator[tuple[SimpleGraph, Callable[[], bool]]]:
+        room = g.n if max_edges is None else max_edges(g.n + 1) - g.num_edges
+        if g.n + 1 == n:
+            yield from _children(g, gens, predicate, room, True)
+            return
+        for child, child_gens in _children(g, gens, predicate, room, False):
+            yield from rec(child, child_gens)
+
+    yield from rec(SimpleGraph.empty(1), ())
 
 
 def enumerate_graphs(
@@ -476,23 +536,7 @@ def enumerate_graphs(
     its best score grows, if it only ever rejects graphs whose
     descendants cannot be kept.
     """
-    if n < 0:
-        raise InvalidInputError("invalid-order", str(n))
-    if n > ceiling:
-        raise ResourceLimitError(
-            "enumeration-ceiling", f"n={n} exceeds ceiling {ceiling}"
-        )
-    if n == 0:
-        yield SimpleGraph.empty(0)
-        return
-
-    def rec(g: SimpleGraph, gens) -> Iterator[SimpleGraph]:
-        if g.n == n:
+    for g, accepted in _untested_last_level(n, ceiling=ceiling, predicate=predicate,
+                                            max_edges=max_edges):
+        if accepted():
             yield g
-            return
-        room = g.n if max_edges is None else max_edges(g.n + 1) - g.num_edges
-        final = g.n + 1 == n
-        for child, child_gens in _children(g, gens, predicate, room, final):
-            yield from rec(child, child_gens)
-
-    yield from rec(SimpleGraph.empty(1), ())

@@ -308,10 +308,10 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
     return nim, witness
 
 
-def _graph_nim(g: SimpleGraph, pattern: BipartitePattern, need: Optional[int] = None):
+def _graph_nim(g: SimpleGraph, pattern: BipartitePattern):
     """NIM edges of g in edge order, and a witness copy for each other
-    edge of g (see `_nim_scan`, also for the floor `need`)."""
-    return _nim_scan(g.adj, pattern, g.edges(), need)
+    edge of g (see `_nim_scan`)."""
+    return _nim_scan(g.adj, pattern, g.edges())
 
 
 def nim_edges(coloring: EdgeColoring, pattern: BipartitePattern) -> NimReport:

@@ -26,6 +26,7 @@ from typing import Optional
 from .canon import (
     CanonicalCode,
     _orbit_minima,
+    _untested_last_level,
     canonical_code,
     canonical_form,
     enumerate_graphs,
@@ -50,7 +51,8 @@ __all__ = [
 ]
 
 # Largest n the exhaustive search accepts, per color count: two colors
-# at n=9 score 59,797 colorings, three colors at n=6 score 6,163.
+# at n=9 score 80,783 labeled colorings (59,797 of them canonical),
+# three colors at n=6 score 6,163.
 EXACT_CEILINGS = {2: 9, 3: 6}
 
 
@@ -67,7 +69,10 @@ class SearchReport:
     `colorings` then lists every optimum up to vertex relabeling and color
     renaming.  `nodes` counts the colorings scored: in exact mode those
     left after the pruning of color-1 subtrees, including colorings
-    dropped unfinished by the bound on the best score.
+    dropped unfinished by the bound on the best score.  For two colors
+    they are labeled colorings: color 1 is every labeled graph on the
+    last level of its enumeration, and the canonical test that keeps one
+    per class runs only on ties, so a class can be scored more than once.
     """
 
     n: int
@@ -116,18 +121,21 @@ def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
     return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)])
 
 
-def _smallest_classes(n: int, k: int, predicate=None):
+def _smallest_classes(n: int, k: int, predicate=None, *, untested: bool = False):
     """One graph per isomorphism class with at most m // k edges.
 
     Every k-coloring class has a member whose class sizes do not decrease
     with the color and whose color 1 is one of these graphs.  The cap
     holds on every graph on the way to a capped one, so it is passed to
     the enumeration as `max_edges`, and children over it are never built.
-    `predicate` is passed on to the enumeration.
+    `predicate` is passed on to the enumeration.  With `untested` the last
+    level comes as pairs (graph, test): every labeled child there, with
+    its canonical test not yet run (`canon._untested_last_level`).
     """
     cap = n * (n - 1) // 2 // k
-    return enumerate_graphs(n, ceiling=max(n, 10), predicate=predicate,
-                            max_edges=lambda v: cap)
+    source = _untested_last_level if untested else enumerate_graphs
+    return source(n, ceiling=max(n, 10), predicate=predicate,
+                  max_edges=lambda v: cap)
 
 
 def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
@@ -152,10 +160,12 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
     """Best score over the colorings in `groups`, one coloring per
     optimal class, and the number of colorings scored, finished or not.
 
-    `groups` yields pairs (g, splits): color 1 of each coloring is g, and
-    each split is the tuple of its other classes.  Every class comes as
-    a pair (graph, candidates): the edges of the graph that can be NIM,
-    all of them unless a scan of a subgraph has covered some.  g is
+    `groups` yields triples (g, splits, accepted): color 1 of each
+    coloring is g, each split is the tuple of its other classes, and
+    `accepted()` says whether g is the enumeration's representative of
+    its class.  Every class comes as a pair (graph, candidates): the
+    edges of the graph that can be NIM, all of them unless a scan of a
+    subgraph has covered some.  g is
     scanned once for all its splits, and its count starts every split's
     score.  The other classes are scanned in turn with the floor `need`
     = best - score so far - candidates of the classes still unscanned,
@@ -166,6 +176,15 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
     coloring that ties the final best is finished.  `best` is a one-item
     list holding that running best; it is raised here as the colorings
     go by, so the caller's enumeration can prune with it too.
+
+    A coloring whose g is not accepted is scored like any other and may
+    raise the best score, since it is a real coloring; `accepted` is run
+    only on a coloring that ties the running best, before it joins the
+    ties.  An unaccepted g is isomorphic to an accepted one, whose
+    coloring scores the same.  So when the caller's pruning is strict,
+    as `_exact_two_color`'s is, every accepted coloring that reaches the
+    final best is still scored, and the ties are these colorings in
+    order, as if only accepted graphs had come.
 
     Ties are held as tuples of class graphs; only they become
     `EdgeColoring`s.  Two ties are deduplicated by `_coloring_key` only
@@ -179,7 +198,7 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
     """
     ties: list[tuple[SimpleGraph, ...]] = []
     nodes = 0
-    for (g, g_edges), splits in groups:
+    for (g, g_edges), splits, accepted in groups:
         need = None
         if isinstance(splits, tuple) and len(splits) == 1:
             need = best[0] - sum(len(edges) for _, edges in splits[0])
@@ -200,7 +219,7 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
             else:
                 if score > best[0]:
                     best[0], ties = score, []
-                if score == best[0]:
+                if score == best[0] and accepted():
                     ties.append((g, *(h for h, _ in rest)))
     optima, keys = [], set()
     for classes in ties:
@@ -257,6 +276,16 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
     v < n vertices that it accepts, even one it could accept unscanned,
     so in the depth-first enumeration every coloring finds its parent
     kept.
+
+    The last level of the enumeration comes untested: every labeled
+    child that the predicate keeps is scored, and its canonical test
+    runs only when the child ties or beats the running best (see
+    `_optima`).  Most children fall below the best, so most last-level
+    canonical forms are never computed, at the price of scoring the
+    children the test would have dropped.  The subtree bound is strict,
+    so the canonical ancestors of every class that scores at least the
+    final best survive, and the optima come out as they would from the
+    tested enumeration, in the same order.
     """
     m = n * (n - 1) // 2
     best = [-1]
@@ -279,11 +308,11 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
         return True
 
     def groups():
-        for g in _smallest_classes(n, 2, hopeful):
+        for g, accepted in _smallest_classes(n, 2, hopeful, untested=True):
             rest = g.complement()
             one, two = _candidates(kept, g, rest)
             split = ((rest, two),)
-            yield (g, one), (split,)
+            yield (g, one), (split,), accepted
 
     return _optima(pattern, groups(), best)
 
@@ -323,7 +352,8 @@ def _exact_three_color(n: int, pattern: BipartitePattern):
             three = SimpleGraph(n, tuple(a ^ b for a, b in zip(rest_graph.adj, rows)))
             yield (two, list(two.edges())), (three, list(three.edges()))
 
-    groups = (((g, list(g.edges())), splits(g)) for g in _smallest_classes(n, 3))
+    groups = (((g, list(g.edges())), splits(g), lambda: True)
+              for g in _smallest_classes(n, 3))
     return _optima(pattern, groups, [-1])
 
 

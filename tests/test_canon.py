@@ -7,6 +7,7 @@ import pytest
 from nimlab.canon import (
     CanonicalCode,
     _orbit_minima,
+    _untested_last_level,
     canonical_code,
     canonical_form,
     canonical_graph,
@@ -267,6 +268,34 @@ def test_enumerate_matches_unpruned_augmentation(which):
         got = [(g.n, g.adj) for g in enumerate_graphs(n, predicate=predicate)]
         want = [(g.n, g.adj) for g in oracle_enumerate_graphs(n, predicate)]
         assert got == want
+
+
+@pytest.mark.parametrize("which", ["none", "c4-free", "edge cap", "c4-free, edge cap"])
+def test_untested_last_level_filtered_is_the_enumeration(which):
+    # run on every child of the last level, the deferred tests keep exactly
+    # the labeled graphs of the enumeration, in order; each test agrees
+    # with the plain rule (z in the orbit of the canonical-last vertex,
+    # no shortcut), and a rejected child is isomorphic to an accepted one
+    predicate = _pattern_free_predicate(build_pattern("c4")) if "c4" in which else None
+    for n in range(0, 8):
+        cap = n * (n - 1) // 4
+        max_edges = (lambda v: cap) if "cap" in which else None
+        kwargs = dict(predicate=predicate, max_edges=max_edges)
+        pairs = list(_untested_last_level(n, ceiling=10, **kwargs))
+        kept = [g for g, accepted in pairs if accepted()]
+        want = list(enumerate_graphs(n, **kwargs))
+        assert [(g.n, g.adj) for g in kept] == [(g.n, g.adj) for g in want], (which, n)
+        codes = {canonical_code(g) for g in kept}
+        assert len(codes) == len(kept)
+        for g, accepted in pairs:
+            if n >= 2:
+                res = canonical_form(g)
+                z = n - 1
+                assert accepted() == (res.orbits[z] == res.orbits[res.labeling.index(z)])
+            if not accepted():
+                assert canonical_code(g) in codes, (which, n)
+        if n >= 5:
+            assert len(pairs) > len(kept), (which, n)
 
 
 def test_enumerate_labeled_predicate_can_lose_classes():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import oracle_coloring_key, oracle_nim_flags
 from test_acceptance import GOLDEN_PATH
+from nimlab import canon
 from nimlab.canon import enumerate_graphs
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
@@ -200,8 +201,10 @@ def test_bounded_nim_scan_stops_only_below_the_floor():
 
 def test_two_color_node_count_after_pruning(c4):
     # colorings scored once the enumeration drops hopeless subtrees; all
-    # 6,996 classes with at most 14 edges are scored without the bound
-    assert f_exact(8, c4, 2).nodes == 4687
+    # 6,996 classes with at most 14 edges are scored without the bound.
+    # The last level is scored before its canonical test, so these are
+    # labeled colorings; with the test run first, 4,687 were scored
+    assert f_exact(8, c4, 2).nodes == 6401
 
 
 def test_two_color_candidates_cover_every_nim_pair():
@@ -237,7 +240,8 @@ def test_two_color_candidates_cover_every_nim_pair():
 def test_two_color_scans_only_pairs_that_can_be_nim(c4, monkeypatch):
     # each coloring is scanned on its parent's NIM pairs and the pairs at
     # the new vertex, and color 1 of a coloring of K_n under a floor; the
-    # search scanning every edge made 57,087 matcher calls here
+    # search scanning every edge made 57,087 matcher calls here, and
+    # 20,420 when it scored only the last level's canonical children
     calls = [0]
     copy_through = monoscan._copy_through
 
@@ -247,7 +251,23 @@ def test_two_color_scans_only_pairs_that_can_be_nim(c4, monkeypatch):
 
     monkeypatch.setattr(monoscan, "_copy_through", counting)
     assert f_exact(8, c4, 2).value == 11
-    assert calls[0] == 20420
+    assert calls[0] == 25115
+
+
+def test_two_color_runs_the_canonical_test_only_on_ties(c4, monkeypatch):
+    # the last level's canonical test runs only on colorings that reach
+    # the running best; run on every last-level child, the search made
+    # 1,551 canonical forms here
+    calls = [0]
+    form = canon.canonical_form
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return form(*args, **kwargs)
+
+    monkeypatch.setattr(canon, "canonical_form", counting)
+    assert f_exact(8, c4, 2).value == 11
+    assert calls[0] == 696
 
 
 @pytest.mark.parametrize("k", [2, 3])
