@@ -14,9 +14,10 @@ that does not depend on the machine:
 - children built: `SimpleGraph.add_vertex` calls (only `canon` makes them)
 - `canonical_form`, `_refine` and `_leaf` calls, read from the tracer
 - `_copy_through` calls, read from the tracer: the matcher's work; for
-  the two-color cases also split into the calls made inside the
-  enumeration's predicate (the scans of colorings of K_v, v < n) and
-  the rest (the scoring of the colorings of K_n)
+  the two-color cases also split into the calls made by the
+  enumeration's predicate on children of fewer than n vertices (the
+  scans of colorings of K_v, v < n) and the rest (the scoring of the
+  colorings of K_n, wherever it runs)
 - for the `f_exact` cases, `SearchReport.nodes`: colorings scored
 
 Each side also hashes the case's output (the enumerated graphs in order,
@@ -99,7 +100,8 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
 
 def _install_counters():
     """Install the benchmark tracer and count `add_vertex` calls beside it,
-    and `_copy_through` calls made inside an enumeration predicate."""
+    and `_copy_through` calls made inside an enumeration predicate on a
+    child of fewer than n vertices."""
     from nimlab import graphs, monoscan, search
 
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -125,9 +127,9 @@ def _install_counters():
         predicate_calls[0] += in_predicate[0]
         return copy_through(*args, **kwargs)
 
-    def flagged(predicate):
+    def flagged(predicate, n):
         def run(child, z):
-            in_predicate[0] = True
+            in_predicate[0] = child.n < n
             try:
                 return predicate(child, z)
             finally:
@@ -135,7 +137,8 @@ def _install_counters():
         return run
 
     def watched_classes(n, k, predicate=None, **kwargs):
-        return smallest_classes(n, k, None if predicate is None else flagged(predicate), **kwargs)
+        return smallest_classes(n, k, None if predicate is None else flagged(predicate, n),
+                                **kwargs)
 
     monoscan._copy_through = counting_copy_through
     search._smallest_classes = watched_classes

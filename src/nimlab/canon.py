@@ -30,12 +30,11 @@ where nothing reads it:
   root refinement is kept without a canonical form: the canonical-last
   vertex lies in that cell, and the child's generators are never read.
   When z has strictly the top degree it is alone there, and the child is
-  kept without refining it.  Otherwise a last-level child is kept iff its
-  canonical form puts z in the orbit of the canonical-last vertex.
-- A caller that reads only some of the last level can take every child
-  there with this test not yet run (`_untested_last_level`) and run it
-  only on the children it would keep: the exact two-color search runs it
-  only on colorings that reach its best score.
+  kept without refining it.
+- The caller's predicate runs before the canonical test, so on the last
+  level the test runs only on the children the predicate keeps: the
+  exact two-color search scores each coloring in its predicate and keeps
+  only those that tie or beat its best score.
 
 The output does not depend on these shortcuts: the same labeled graphs
 come out in the same order as from trying every mask.
@@ -309,23 +308,6 @@ def canonical_graph(g: SimpleGraph) -> SimpleGraph:
     return g.relabel(canonical_form(g).labeling)
 
 
-def graph_from_code(code: CanonicalCode) -> SimpleGraph:
-    """Rebuild the representative graph stored in a canonical code."""
-    data = code.data
-    n = data[0]
-    ncells = data[1]
-    bits = data[2 + ncells :]
-    rows = [0] * n
-    idx = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            if bits[idx >> 3] & (0x80 >> (idx & 7)):
-                rows[p] |= 1 << q
-                rows[q] |= 1 << p
-            idx += 1
-    return SimpleGraph(n, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # Isomorph-free enumeration by canonical augmentation.
 # ---------------------------------------------------------------------------
@@ -379,30 +361,32 @@ def _orbit_minima(
     return minima
 
 
-def _last_level_test(child: SimpleGraph, strict_top: bool) -> bool:
-    """Whether canonical augmentation keeps `child`, a child on the last
-    level whose new vertex z = child.n - 1 has strictly the top degree
-    when `strict_top` is set.
+def _accept(child: SimpleGraph, strict_top: bool, final: bool):
+    """The automorphism generators of `child` if canonical augmentation
+    keeps it, () on the last level (`final`), or None if it is rejected.
 
-    z is kept iff it lies in the orbit of the canonical-last vertex, which
-    lies in the last cell of the root refinement, as every leaf of the
-    canonical search refines it.  So z outside that cell is rejected and z
-    alone in it is accepted, both without a canonical form.  When z has
-    strictly the top degree, the first split of the refinement already
-    puts it alone in the last cell, and later splits never reorder cells,
-    so it is accepted without refining.
+    z = child.n - 1 is kept iff it lies in the orbit of the canonical-last
+    vertex, which lies in the last cell of the root refinement, as every
+    leaf of the canonical search refines it.  So z outside that cell is
+    rejected.  On the last level, where the generators are never read, z
+    alone in that cell is accepted without a canonical form, and z of
+    strictly the top degree (`strict_top`) without refining: the first
+    split of the refinement already puts it alone in the last cell, and
+    later splits never reorder cells.
     """
     if strict_top:
-        return True
+        return ()
     z = child.n - 1
     root = _refine(child.adj, [list(range(child.n))])
     cell = root[-1]
     if z not in cell:
-        return False
-    if len(cell) == 1:
-        return True
+        return None
+    if final and len(cell) == 1:
+        return ()
     res = canonical_form(child, _root_cells=root)
-    return res.orbits[z] == res.orbits[res.labeling.index(z)]
+    if res.orbits[z] != res.orbits[res.labeling.index(z)]:
+        return None
+    return () if final else res.generators
 
 
 def _children(
@@ -411,9 +395,8 @@ def _children(
     predicate: Optional[Callable[[SimpleGraph, int], bool]],
     room: int,
     final: bool,
-) -> Iterator[tuple[SimpleGraph, object]]:
-    """Children of `parent` that the predicate keeps, each with its
-    automorphism generators, or on the last level with its test.
+) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...]]]:
+    """Accepted children of `parent` with their automorphism generators.
 
     `generators` generate the parent's automorphism group.  Only the
     smallest mask of each orbit of that group is tried: an automorphism
@@ -433,11 +416,9 @@ def _children(
     and M meets a vertex of degree Δ.  These tests are unchanged by
     automorphisms, so a dropped mask takes its whole orbit with it.
 
-    Below the last level only accepted children are yielded.  With `final`
-    set the children are leaves of the enumeration and their generators
-    are never read, so every child the predicate keeps is yielded with
-    its canonical-augmentation test (`_last_level_test`) as a callable
-    not yet run; a child is accepted iff it returns True.
+    The predicate runs on each child built, and the canonical test
+    (`_accept`) only on the children it keeps.  With `final` set the
+    children are leaves of the enumeration and come with no generators.
     """
     v = parent.n
     degrees = [row.bit_count() for row in parent.adj]
@@ -452,54 +433,10 @@ def _children(
         child = parent.add_vertex(mask)
         if predicate is not None and not predicate(child, v):
             continue
-        if final:
-            strict = mask.bit_count() > top_degree + bool(mask & top)
-            yield child, (lambda child=child, strict=strict: _last_level_test(child, strict))
-            continue
-        # the canonical-last vertex lies in the last cell of the root
-        # refinement, as every leaf of the search refines it
-        root = _refine(child.adj, [list(range(v + 1))])
-        if v not in root[-1]:
-            continue
-        res = canonical_form(child, _root_cells=root)
-        last = res.labeling.index(v)  # vertex occupying the last canonical position
-        if res.orbits[v] != res.orbits[last]:
-            continue
-        yield child, res.generators
-
-
-def _untested_last_level(
-    n: int,
-    *,
-    ceiling: int,
-    predicate: Optional[Callable[[SimpleGraph, int], bool]],
-    max_edges: Optional[Callable[[int], int]],
-) -> Iterator[tuple[SimpleGraph, Callable[[], bool]]]:
-    """`enumerate_graphs` with the canonical test of the last level left to
-    the caller: every child on n vertices that the predicate keeps, each
-    with its test, in the order of the enumeration.  Filtered by the tests,
-    the stream is exactly `enumerate_graphs`'; every child that fails its
-    test is isomorphic to one that passes."""
-    if n < 0:
-        raise InvalidInputError("invalid-order", str(n))
-    if n > ceiling:
-        raise ResourceLimitError(
-            "enumeration-ceiling", f"n={n} exceeds ceiling {ceiling}"
-        )
-    if n <= 1:
-        g = SimpleGraph.empty(n)
-        yield g, (lambda: True)
-        return
-
-    def rec(g: SimpleGraph, gens) -> Iterator[tuple[SimpleGraph, Callable[[], bool]]]:
-        room = g.n if max_edges is None else max_edges(g.n + 1) - g.num_edges
-        if g.n + 1 == n:
-            yield from _children(g, gens, predicate, room, True)
-            return
-        for child, child_gens in _children(g, gens, predicate, room, False):
-            yield from rec(child, child_gens)
-
-    yield from rec(SimpleGraph.empty(1), ())
+        strict_top = final and mask.bit_count() > top_degree + bool(mask & top)
+        gens = _accept(child, strict_top, final)
+        if gens is not None:
+            yield child, gens
 
 
 def enumerate_graphs(
@@ -535,8 +472,29 @@ def enumerate_graphs(
     A predicate may tighten over a run, as a branch and bound's does when
     its best score grows, if it only ever rejects graphs whose
     descendants cannot be kept.
+
+    On n vertices the predicate sees every labeled child built, before
+    its canonical test, so a child it rejects there costs no canonical
+    form; and a child it keeps is yielded, if the test accepts it, before
+    the next child is built, so a caller may read what the predicate
+    learnt about the yielded graph.
     """
-    for g, accepted in _untested_last_level(n, ceiling=ceiling, predicate=predicate,
-                                            max_edges=max_edges):
-        if accepted():
+    if n < 0:
+        raise InvalidInputError("invalid-order", str(n))
+    if n > ceiling:
+        raise ResourceLimitError(
+            "enumeration-ceiling", f"n={n} exceeds ceiling {ceiling}"
+        )
+    if n == 0:
+        yield SimpleGraph.empty(0)
+        return
+
+    def rec(g: SimpleGraph, gens) -> Iterator[SimpleGraph]:
+        if g.n == n:
             yield g
+            return
+        room = g.n if max_edges is None else max_edges(g.n + 1) - g.num_edges
+        for child, child_gens in _children(g, gens, predicate, room, g.n + 1 == n):
+            yield from rec(child, child_gens)
+
+    yield from rec(SimpleGraph.empty(1), ())

@@ -398,13 +398,3 @@ def detect_biclique(g: SimpleGraph) -> Optional[tuple[int, int]]:
     if g.num_edges != s * t:
         return None
     return (min(s, t), max(s, t))
-
-
-def detect_biclique_two_side(g: SimpleGraph) -> Optional[int]:
-    """Return t if g is K_{2,t} for some t >= 2 (order matters: the 2-side)."""
-    bc = detect_biclique(g)
-    if bc and bc[0] == 2:
-        return bc[1]
-    if bc and bc[1] == 2:
-        return bc[0]
-    return None

@@ -26,7 +26,6 @@ from typing import Optional
 from .canon import (
     CanonicalCode,
     _orbit_minima,
-    _untested_last_level,
     canonical_code,
     canonical_form,
     enumerate_graphs,
@@ -121,21 +120,18 @@ def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
     return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)])
 
 
-def _smallest_classes(n: int, k: int, predicate=None, *, untested: bool = False):
+def _smallest_classes(n: int, k: int, predicate=None):
     """One graph per isomorphism class with at most m // k edges.
 
     Every k-coloring class has a member whose class sizes do not decrease
     with the color and whose color 1 is one of these graphs.  The cap
     holds on every graph on the way to a capped one, so it is passed to
     the enumeration as `max_edges`, and children over it are never built.
-    `predicate` is passed on to the enumeration.  With `untested` the last
-    level comes as pairs (graph, test): every labeled child there, with
-    its canonical test not yet run (`canon._untested_last_level`).
+    `predicate` is passed on to the enumeration.
     """
     cap = n * (n - 1) // 2 // k
-    source = _untested_last_level if untested else enumerate_graphs
-    return source(n, ceiling=max(n, 10), predicate=predicate,
-                  max_edges=lambda v: cap)
+    return enumerate_graphs(n, ceiling=n, predicate=predicate,
+                            max_edges=lambda v: cap)
 
 
 def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
@@ -148,79 +144,19 @@ def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
     return EdgeColoring(n, len(classes), colors)
 
 
-def _nim_count(g: SimpleGraph, pattern: BipartitePattern, edges,
-               need: Optional[int]) -> Optional[int]:
-    """NIM count of g, whose NIM edges all lie in `edges`, or None once
-    fewer than `need` of `edges` can be NIM."""
-    scan = _nim_scan(g.adj, pattern, edges, need)
-    return None if scan is None else len(scan[0])
+def _distinct(ties: list[tuple[SimpleGraph, ...]]) -> list[EdgeColoring]:
+    """The colorings whose class graphs are `ties`, one per isomorphism
+    class, the first of each kept.
 
-
-def _optima(pattern: BipartitePattern, groups, best: list[int]):
-    """Best score over the colorings in `groups`, one coloring per
-    optimal class, and the number of colorings scored, finished or not.
-
-    `groups` yields triples (g, splits, accepted): color 1 of each
-    coloring is g, each split is the tuple of its other classes, and
-    `accepted()` says whether g is the enumeration's representative of
-    its class.  Every class comes as a pair (graph, candidates): the
-    edges of the graph that can be NIM, all of them unless a scan of a
-    subgraph has covered some.  g is
-    scanned once for all its splits, and its count starts every split's
-    score.  The other classes are scanned in turn with the floor `need`
-    = best - score so far - candidates of the classes still unscanned,
-    so a coloring is dropped unfinished once even all its unsettled
-    candidates being NIM would leave it below the best score so far.
-    When `splits` is a tuple of one split, as for two colors, g is
-    scanned with such a floor too.  The drop is strict, so every
-    coloring that ties the final best is finished.  `best` is a one-item
-    list holding that running best; it is raised here as the colorings
-    go by, so the caller's enumeration can prune with it too.
-
-    A coloring whose g is not accepted is scored like any other and may
-    raise the best score, since it is a real coloring; `accepted` is run
-    only on a coloring that ties the running best, before it joins the
-    ties.  An unaccepted g is isomorphic to an accepted one, whose
-    coloring scores the same.  So when the caller's pruning is strict,
-    as `_exact_two_color`'s is, every accepted coloring that reaches the
-    final best is still scored, and the ties are these colorings in
-    order, as if only accepted graphs had come.
-
-    Ties are held as tuples of class graphs; only they become
-    `EdgeColoring`s.  Two ties are deduplicated by `_coloring_key` only
-    when each has two classes of one size.  A tie whose class sizes are
-    distinct is isomorphic to no other tie: an isomorphism keeps class
-    sizes, and with the sizes increasing with the color, it cannot
-    rename colors, so it carries color 1 to color 1.  Color 1 comes from
-    one graph per isomorphism class, so both ties have the same g and
-    the vertex map is an automorphism of g, carrying one split to the
-    other; but the splits of g lie in different orbits of Aut(g).
+    Two ties are compared by `_coloring_key` only when each has two
+    classes of one size.  A tie whose class sizes are distinct is
+    isomorphic to no other tie: an isomorphism keeps class sizes, and
+    with the sizes increasing with the color, it cannot rename colors, so
+    it carries color 1 to color 1.  Color 1 comes from one graph per
+    isomorphism class, so both ties have the same g and the vertex map is
+    an automorphism of g, carrying one split to the other; but the splits
+    of g lie in different orbits of Aut(g).
     """
-    ties: list[tuple[SimpleGraph, ...]] = []
-    nodes = 0
-    for (g, g_edges), splits, accepted in groups:
-        need = None
-        if isinstance(splits, tuple) and len(splits) == 1:
-            need = best[0] - sum(len(edges) for _, edges in splits[0])
-        base = _nim_count(g, pattern, g_edges, need)
-        if base is None:
-            nodes += 1
-            continue
-        for rest in splits:
-            nodes += 1
-            score = base
-            left = sum(len(edges) for _, edges in rest)
-            for h, edges in rest:
-                left -= len(edges)
-                count = _nim_count(h, pattern, edges, best[0] - score - left)
-                if count is None:
-                    break
-                score += count
-            else:
-                if score > best[0]:
-                    best[0], ties = score, []
-                if score == best[0] and accepted():
-                    ties.append((g, *(h for h, _ in rest)))
     optima, keys = [], set()
     for classes in ties:
         opt = _coloring(classes)
@@ -230,7 +166,42 @@ def _optima(pattern: BipartitePattern, groups, best: list[int]):
                 continue
             keys.add(key)
         optima.append(opt)
-    return best[0], optima, nodes
+    return optima
+
+
+def _optima(pattern: BipartitePattern, groups):
+    """Best score over the three-colorings in `groups`, one coloring per
+    optimal class, and the number of colorings scored, finished or not.
+
+    `groups` yields pairs (g, splits): color 1 of each coloring is g, and
+    each split is the pair of its other classes.  g is scanned once for
+    all its splits, and its count starts every split's score.  The other
+    classes are scanned in turn with the floor `need` = best - score so
+    far - edges of the classes still unscanned, so a coloring is dropped
+    unfinished once even all its unsettled edges being NIM would leave it
+    below the best score so far.  So a coloring is finished only when it
+    ties or beats the best, and the drop is strict, so every coloring
+    that ties the final best is finished.  Ties are held as tuples of
+    class graphs; only the distinct ones become `EdgeColoring`s.
+    """
+    best, ties, nodes = -1, [], 0
+    for g, splits in groups:
+        base = len(_graph_nim(g, pattern)[0])
+        for rest in splits:
+            nodes += 1
+            score = base
+            left = sum(h.num_edges for h in rest)
+            for h in rest:
+                left -= h.num_edges
+                scan = _nim_scan(h.adj, pattern, h.edges(), best - score - left)
+                if scan is None:
+                    break
+                score += len(scan[0])
+            else:
+                if score > best:
+                    best, ties = score, []
+                ties.append((g, *rest))
+    return best, _distinct(ties), nodes
 
 
 def _candidates(kept: list, g: SimpleGraph, rest: SimpleGraph):
@@ -277,24 +248,30 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
     so in the depth-first enumeration every coloring finds its parent
     kept.
 
-    The last level of the enumeration comes untested: every labeled
-    child that the predicate keeps is scored, and its canonical test
-    runs only when the child ties or beats the running best (see
-    `_optima`).  Most children fall below the best, so most last-level
+    The predicate scores each coloring of K_n, the last level, with the
+    same floors, so it keeps one only when it ties or beats the running
+    best, which it raises to that score.  The enumeration runs its
+    canonical test only on the children the predicate keeps, and yields
+    an accepted one before it builds the next (see `enumerate_graphs`),
+    so every graph it yields was just scored and ties or beats every
+    earlier one.  Most children fall below the best, so most last-level
     canonical forms are never computed, at the price of scoring the
-    children the test would have dropped.  The subtree bound is strict,
-    so the canonical ancestors of every class that scores at least the
-    final best survive, and the optima come out as they would from the
-    tested enumeration, in the same order.
+    children the test would have dropped.  A dropped child scores what
+    its accepted isomorph scores, and the subtree bound is strict, so the
+    canonical ancestors of every class that reaches the final best
+    survive: the ties are the accepted colorings that reach it, in the
+    order of the enumeration.
     """
+    if n == 1:  # K_1 has no pair, so the predicate never runs
+        return 0, [EdgeColoring(1, 2, [])], 1
     m = n * (n - 1) // 2
     best = [-1]
+    scored = [0]  # colorings of K_n scored, finished or not
     kept: list = [None] * n  # v -> the kept 2-coloring of K_v (see _candidates)
 
     def hopeful(child: SimpleGraph, z: int) -> bool:
         v = child.n
-        if v == n:
-            return True
+        scored[0] += v == n
         outside = m - v * (v - 1) // 2
         rest = child.complement()
         one, two = _candidates(kept, child, rest)
@@ -304,17 +281,18 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
         rest_scan = _nim_scan(rest.adj, pattern, two, best[0] - outside - len(scan[0]))
         if rest_scan is None:
             return False
-        kept[v] = (child.adj, scan[0], rest_scan[0])
+        if v < n:
+            kept[v] = (child.adj, scan[0], rest_scan[0])
+        else:  # the floors let a coloring of K_n finish only at the best or above
+            best[0] = len(scan[0]) + len(rest_scan[0])
         return True
 
-    def groups():
-        for g, accepted in _smallest_classes(n, 2, hopeful, untested=True):
-            rest = g.complement()
-            one, two = _candidates(kept, g, rest)
-            split = ((rest, two),)
-            yield (g, one), (split,), accepted
-
-    return _optima(pattern, groups(), best)
+    ties, top = [], -1
+    for g in _smallest_classes(n, 2, hopeful):
+        if best[0] > top:  # g scored best[0], above every earlier tie
+            ties, top = [], best[0]
+        ties.append((g, g.complement()))
+    return best[0], _distinct(ties), scored[0]
 
 
 def _exact_three_color(n: int, pattern: BipartitePattern):
@@ -350,11 +328,9 @@ def _exact_three_color(n: int, pattern: BipartitePattern):
                     rows[v] |= 1 << u
             two = SimpleGraph(n, tuple(rows))
             three = SimpleGraph(n, tuple(a ^ b for a, b in zip(rest_graph.adj, rows)))
-            yield (two, list(two.edges())), (three, list(three.edges()))
+            yield two, three
 
-    groups = (((g, list(g.edges())), splits(g), lambda: True)
-              for g in _smallest_classes(n, 3))
-    return _optima(pattern, groups, [-1])
+    return _optima(pattern, ((g, splits(g)) for g in _smallest_classes(n, 3)))
 
 
 def _check_search_args(n: int, pattern: BipartitePattern, k: int) -> None:

@@ -29,11 +29,11 @@ from typing import Callable, Iterator, Optional
 
 from .canon import canonical_form, canonical_graph, enumerate_graphs
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import SimpleGraph, bits_to_list, decode_graph6, encode_graph6
+from .graphs import SimpleGraph, bits_to_list, decode_graph6, edge_pairs, encode_graph6
 from .monoscan import _copy_through, contains_copy, is_h_free
 from .patterns import (
     BipartitePattern,
-    detect_biclique_two_side,
+    detect_biclique,
     detect_clique,
     detect_star,
 )
@@ -411,13 +411,11 @@ def _bnb_kst(n: int, t: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
 # ---------------------------------------------------------------------------
 
 def _greedy_lower_bound(n: int, pattern: BipartitePattern, fp: str,
-                        seed: int = 0, passes: int = 4) -> TuranRecord:
-    from .graphs import edge_pairs
-
+                        seed: int = 0) -> TuranRecord:
     rng = random.Random(seed)
     pairs = list(edge_pairs(n))
     best = None
-    for p in range(passes):
+    for p in range(4):
         order = pairs[:]
         if p:
             rng.shuffle(order)
@@ -489,8 +487,8 @@ def _compute_ex(n: int, pattern: BipartitePattern, fp: str, seed: int) -> TuranR
         w = _capped_degree_witness(n, d)
         return TuranRecord("ex", pattern.name, fp, n, n * d // 2, True,
                            "formula-star", (encode_graph6(w),), d == 0)
-    t = detect_biclique_two_side(g)
-    if n <= (BNB_CEILING if t is not None and t >= 2 else ENUM_CEILING):
+    bc = detect_biclique(g)
+    if n <= (BNB_CEILING if bc is not None and bc[0] == 2 else ENUM_CEILING):
         return _enum_ex(n, pattern, fp)
     return _greedy_lower_bound(n, pattern, fp, seed=seed)
 

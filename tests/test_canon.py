@@ -4,15 +4,15 @@ from math import comb
 
 import pytest
 
+from nimlab import canon
 from nimlab.canon import (
     CanonicalCode,
+    _accept,
     _orbit_minima,
-    _untested_last_level,
     canonical_code,
     canonical_form,
     canonical_graph,
     enumerate_graphs,
-    graph_from_code,
 )
 from nimlab.errors import InvalidInputError
 from nimlab.patterns import build_pattern
@@ -33,6 +33,23 @@ def _random_graph(rng, n):
         if rng.random() < 0.5:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+    return SimpleGraph(n, tuple(rows))
+
+
+def _graph_from_code(code: CanonicalCode) -> SimpleGraph:
+    """Rebuild the representative graph stored in a canonical code."""
+    data = code.data
+    n = data[0]
+    ncells = data[1]
+    bits = data[2 + ncells :]
+    rows = [0] * n
+    idx = 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            if bits[idx >> 3] & (0x80 >> (idx & 7)):
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+            idx += 1
     return SimpleGraph(n, tuple(rows))
 
 
@@ -82,7 +99,7 @@ def test_labeling_maps_onto_representative():
     for _ in range(30):
         g = _random_graph(rng, rng.randrange(1, 8))
         res = canonical_form(g)
-        assert g.relabel(res.labeling) == graph_from_code(res.code)
+        assert g.relabel(res.labeling) == _graph_from_code(res.code)
 
 
 def test_orbits_match_brute_force():
@@ -271,31 +288,80 @@ def test_enumerate_matches_unpruned_augmentation(which):
 
 
 @pytest.mark.parametrize("which", ["none", "c4-free", "edge cap", "c4-free, edge cap"])
-def test_untested_last_level_filtered_is_the_enumeration(which):
-    # run on every child of the last level, the deferred tests keep exactly
-    # the labeled graphs of the enumeration, in order; each test agrees
-    # with the plain rule (z in the orbit of the canonical-last vertex,
-    # no shortcut), and a rejected child is isomorphic to an accepted one
+def test_last_level_accept_matches_the_plain_rule(which):
+    # every labeled child of the last level that the predicate keeps goes
+    # to _accept, whose shortcuts must agree with the plain rule (z in the
+    # orbit of the canonical-last vertex, no shortcut); the enumeration
+    # yields exactly the accepted children, in order, and a rejected child
+    # is isomorphic to an accepted one
     predicate = _pattern_free_predicate(build_pattern("c4")) if "c4" in which else None
-    for n in range(0, 8):
+    for n in range(2, 8):
         cap = n * (n - 1) // 4
         max_edges = (lambda v: cap) if "cap" in which else None
-        kwargs = dict(predicate=predicate, max_edges=max_edges)
-        pairs = list(_untested_last_level(n, ceiling=10, **kwargs))
-        kept = [g for g, accepted in pairs if accepted()]
-        want = list(enumerate_graphs(n, **kwargs))
-        assert [(g.n, g.adj) for g in kept] == [(g.n, g.adj) for g in want], (which, n)
-        codes = {canonical_code(g) for g in kept}
-        assert len(codes) == len(kept)
-        for g, accepted in pairs:
-            if n >= 2:
-                res = canonical_form(g)
-                z = n - 1
-                assert accepted() == (res.orbits[z] == res.orbits[res.labeling.index(z)])
-            if not accepted():
-                assert canonical_code(g) in codes, (which, n)
+        children = []
+
+        def recording(child, z):
+            keep = predicate is None or predicate(child, z)
+            if keep and child.n == n:
+                children.append(child)
+            return keep
+
+        got = list(enumerate_graphs(n, predicate=recording, max_edges=max_edges))
+        z = n - 1
+        accepted = []
+        for child in children:
+            res = canonical_form(child)
+            plain = res.orbits[z] == res.orbits[res.labeling.index(z)]
+            degrees = child.degrees()
+            strict_top = degrees[z] > max(degrees[:z])
+            for strict in {strict_top, False}:
+                assert _accept(child, strict, True) == (() if plain else None), (which, n)
+            if plain:
+                accepted.append(child)
+        assert [(g.n, g.adj) for g in got] == [(g.n, g.adj) for g in accepted], (which, n)
+        codes = {canonical_code(g) for g in got}
+        assert len(codes) == len(got)
+        assert all(canonical_code(g) in codes for g in children), (which, n)
         if n >= 5:
-            assert len(pairs) > len(kept), (which, n)
+            assert len(children) > len(got), (which, n)
+
+
+def test_last_level_predicate_runs_before_the_canonical_test(monkeypatch):
+    # a predicate that rejects every child on n vertices gets nothing
+    # yielded and costs no refinement or canonical form on that level;
+    # a child the predicate keeps is yielded, if accepted, before the
+    # next child is built, so each yielded graph is the predicate's last
+    orders = []
+    form, refine = canon.canonical_form, canon._refine
+
+    def recording_form(g, *args, **kwargs):
+        orders.append(g.n)
+        return form(g, *args, **kwargs)
+
+    def recording_refine(adj, *args, **kwargs):
+        orders.append(len(adj))
+        return refine(adj, *args, **kwargs)
+
+    monkeypatch.setattr(canon, "canonical_form", recording_form)
+    monkeypatch.setattr(canon, "_refine", recording_refine)
+    for n in range(2, 8):
+        orders.clear()
+        assert list(enumerate_graphs(n, predicate=lambda child, z: child.n < n)) == []
+        assert n not in orders and (n == 2 or orders), n
+
+    for predicate in (None, _pattern_free_predicate(build_pattern("c4"))):
+        for n in range(2, 8):
+            seen = []
+
+            def recording(child, z):
+                seen.append(child)
+                return predicate is None or predicate(child, z)
+
+            got = []
+            for g in enumerate_graphs(n, predicate=recording):
+                assert g is seen[-1], n
+                got.append(g.adj)
+            assert got == [g.adj for g in enumerate_graphs(n, predicate=predicate)]
 
 
 def test_enumerate_labeled_predicate_can_lose_classes():
