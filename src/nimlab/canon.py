@@ -460,8 +460,10 @@ def enumerate_graphs(
     max_edges(v + 1) - e members, so children over the cap are never
     built.  Like the predicate below, the cap must hold on every graph
     that the kept ones reach by deleting canonical-last vertices: a
-    constant cap does, and so does the complement's edge floor of
-    `turan._enum_ex`.
+    constant cap does, as `search._smallest_classes` passes, and so does
+    a cap on complements from an edge floor that deleting a vertex of
+    minimum degree keeps.  (`turan._enum_ex` applies such caps through
+    `_children` itself, so that its levels can share layers.)
 
     `predicate(child, z)` prunes a just-augmented child (z is the new
     vertex); it must reject a graph only if no graph to be kept reaches it

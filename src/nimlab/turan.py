@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .canon import canonical_form, canonical_graph, enumerate_graphs
+from .canon import _children, canonical_form, canonical_graph
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import SimpleGraph, bits_to_list, decode_graph6, edge_pairs, encode_graph6
 from .monoscan import _copy_through, contains_copy, is_h_free
@@ -149,9 +149,9 @@ def _capped_degree_witness(n: int, d: int) -> SimpleGraph:
 # ---------------------------------------------------------------------------
 
 def _pattern_free_predicate(pattern: BipartitePattern):
-    """`enumerate_graphs` predicate: the child has no copy through the new
-    vertex z.  A copy can use z without an edge at z only as an isolated
-    pattern vertex, so patterns with one check the whole child."""
+    """Canonical augmentation predicate: the child has no copy through
+    the new vertex z.  A copy can use z without an edge at z only as an
+    isolated pattern vertex, so patterns with one check the whole child."""
     if 0 in pattern.graph.degrees():
         return lambda child, z: not contains_copy(child, pattern)
 
@@ -174,24 +174,41 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
     degree there, so a minimum degree in the graph itself.  Deleting it
     leaves at least L(u-1) = L(u) - floor(2L(u)/u) of L(u) edges, so every
     ancestor of a graph on v vertices with L(v) = m edges keeps L(u).  The
-    complement of such an ancestor has at most C(u, 2) - L(u) edges, the
-    enumeration's `max_edges(u)`, so complements over it are never built.
+    complement of such an ancestor has at most cap(u) = C(u, 2) - L(u)
+    edges, so complements over it are never built.
+
+    The enumeration on u vertices depends only on the caps for 2..u, so
+    each layer of canonical augmentation (`canon._children`) is built once
+    per call from the layer one vertex shorter, with its graphs'
+    generators, and shared by every level and every order whose caps
+    agree up to u: levels at one order share their lower layers, and the
+    level found at v is the parent layer of the levels at v + 1 whose
+    caps extend it.
     """
     free = _pattern_free_predicate(pattern)
 
     def pred(child: SimpleGraph, z: int) -> bool:
         return free(child.complement(), z)
 
+    layers = {(): [(SimpleGraph.empty(1), ())]}
+
+    def layer(caps: tuple[int, ...]) -> list:
+        """The complements kept on len(caps) + 1 vertices under `caps`,
+        with their automorphism generators."""
+        if caps not in layers:
+            layers[caps] = [kid for g, gens in layer(caps[:-1])
+                            for kid in _children(g, gens, pred, caps[-1] - g.num_edges, False)]
+        return layers[caps]
+
     value, wits = 0, [SimpleGraph.empty(n)]
     for v in range(2, n + 1):
         top = comb(v, 2) if v == 2 else min(comb(v, 2), v * value // (v - 2))
         for value in range(top, -1, -1):
-            floor = {v: value}
+            caps, floor = [], value
             for u in range(v, 1, -1):
-                floor[u - 1] = floor[u] - 2 * floor[u] // u
-            wits = [g.complement() for g in enumerate_graphs(
-                v, ceiling=v, predicate=pred,
-                max_edges=lambda u, floor=floor: comb(u, 2) - floor[u])]
+                caps.append(comb(u, 2) - floor)
+                floor -= 2 * floor // u
+            wits = [g.complement() for g, _ in layer(tuple(reversed(caps)))]
             if wits:
                 break
     codes = sorted(encode_graph6(canonical_graph(w)) for w in wits)

@@ -199,6 +199,42 @@ def test_complete_witness_lists_match_brute_classes(c4, k23):
             assert len(rec.witnesses) == len(classes)
 
 
+def test_descent_matches_full_enumeration_beyond_bicliques():
+    # the descent against every H-free class, for patterns that are not
+    # K_{2,t}: C6 (theta2,3 is the same graph), the path on four vertices
+    # and C4 with a pendant edge, whose ex jumps from 9 to 12 (two K4) at
+    # n = 8.  K_5 has no C6, so the route would not reach the descent at
+    # n = 5; it is called directly
+    square = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    for pattern in (build_pattern("c6"),
+                    parse_pattern({"n": 4, "edges": square[:3]}),
+                    parse_pattern({"n": 5, "edges": [*square, [0, 4]]})):
+        fp = pattern.graph_code.hex()
+        for n in range(5, 9):
+            rec = _enum_ex(n, pattern, fp)
+            value, classes = oracle_ex(n, pattern)
+            assert rec.value == value, (pattern.name, n)
+            assert rec.witnesses_complete, (pattern.name, n)
+            assert {canonical_code(w).data for w in rec.witness_graphs()} == classes, (pattern.name, n)
+
+
+def test_descent_builds_each_layer_once(monkeypatch, c4):
+    # the levels of one order and the orders of the chain share their
+    # enumeration layers: ex(10, C4) from an empty memo makes 55 calls to
+    # `_children`, where rebuilding every level from K_1 makes 195
+    calls = [0]
+    children = nimlab.turan._children
+
+    def counting(*args):
+        calls[0] += 1
+        return children(*args)
+
+    monkeypatch.setattr(nimlab.turan, "_children", counting)
+    monkeypatch.setattr(nimlab.turan, "_MEMO", {})
+    assert ex_exact(10, c4).value == 16
+    assert calls[0] <= 55
+
+
 def test_monotone_in_n(c4, k23):
     for pattern in (c4, k23):
         vals = [ex_exact(n, pattern).value for n in range(2, 10)]
