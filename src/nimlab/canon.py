@@ -22,8 +22,9 @@ where nothing reads it:
   per-parent record of codes is needed; this rests on the generators
   generating the whole group, which the test suite checks.
 - A mask that cannot give z top degree in the child is dropped before
-  the child is built, since the canonical-last vertex has top degree:
-  fewer than Δ(parent) neighbors, or exactly Δ with one of degree Δ.
+  the child is built, since the canonical-last vertex has top degree
+  unless the caller ranks the vertices by another invariant key: fewer
+  than Δ(parent) neighbors, or exactly Δ with one of degree Δ.
 - With a caller's edge cap, a mask that would take the child over it is
   dropped before the child is built.
 - On the last level, a child whose z is alone in the last cell of the
@@ -31,10 +32,8 @@ where nothing reads it:
   vertex lies in that cell, and the child's generators are never read.
   When z has strictly the top degree it is alone there, and the child is
   kept without refining it.
-- The caller's predicate runs before the canonical test, so on the last
-  level the test runs only on the children the predicate keeps: the
-  exact two-color search scores each coloring in its predicate and keeps
-  only those that tie or beat its best score.
+- The caller's predicate runs before the canonical test, so the test
+  runs only on the children the predicate keeps.
 
 The output does not depend on these shortcuts: the same labeled graphs
 come out in the same order as from trying every mask.
@@ -361,7 +360,7 @@ def _orbit_minima(
     return minima
 
 
-def _accept(child: SimpleGraph, strict_top: bool, final: bool):
+def _accept(child: SimpleGraph, strict_top: bool, final: bool, cells=None):
     """The automorphism generators of `child` if canonical augmentation
     keeps it, () on the last level (`final`), or None if it is rejected.
 
@@ -373,17 +372,25 @@ def _accept(child: SimpleGraph, strict_top: bool, final: bool):
     strictly the top degree (`strict_top`) without refining: the first
     split of the refinement already puts it alone in the last cell, and
     later splits never reorder cells.
+
+    `cells`, when given, orders the vertices into cells by an invariant
+    key, largest last, and both refinement and canonical form start from
+    it, so the canonical-last vertex has the largest key; z outside
+    `cells[-1]` is rejected unrefined.  The group of (child, cells) is
+    Aut(child), so the generators are still the child's.
     """
     if strict_top:
         return ()
     z = child.n - 1
-    root = _refine(child.adj, [list(range(child.n))])
+    if cells is not None and z not in cells[-1]:
+        return None
+    root = _refine(child.adj, cells or [list(range(child.n))])
     cell = root[-1]
     if z not in cell:
         return None
     if final and len(cell) == 1:
         return ()
-    res = canonical_form(child, _root_cells=root)
+    res = canonical_form(child, cells, _root_cells=root)
     if res.orbits[z] != res.orbits[res.labeling.index(z)]:
         return None
     return () if final else res.generators
@@ -395,6 +402,8 @@ def _children(
     predicate: Optional[Callable[[SimpleGraph, int], bool]],
     room: int,
     final: bool,
+    rank: Optional[Callable[[SimpleGraph], list[list[int]]]] = None,
+    top: bool = True,
 ) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...]]]:
     """Accepted children of `parent` with their automorphism generators.
 
@@ -411,30 +420,36 @@ def _children(
 
     A mask M is dropped before the child is built when it has more than
     `room` members (the child would have more edges than the caller
-    keeps), or when z cannot have top degree in the child, since the
-    canonical-last vertex does: when |M| < Δ(parent), or |M| = Δ(parent)
-    and M meets a vertex of degree Δ.  These tests are unchanged by
-    automorphisms, so a dropped mask takes its whole orbit with it.
+    keeps), or, with `top` set, when z cannot have top degree in the
+    child, since the canonical-last vertex does: when |M| < Δ(parent), or
+    |M| = Δ(parent) and M meets a vertex of degree Δ.  These tests are
+    unchanged by automorphisms, so a dropped mask takes its whole orbit
+    with it.
 
     The predicate runs on each child built, and the canonical test
-    (`_accept`) only on the children it keeps.  With `final` set the
-    children are leaves of the enumeration and come with no generators.
+    (`_accept`) only on the children it keeps, and a child is yielded
+    before the next is built.  `rank(child)`, when given, is the `cells`
+    of that test in place of top degree; `top` is then set only when the
+    largest key implies top degree.  With `final` set the children are
+    leaves of the enumeration and come with no generators.
     """
     v = parent.n
     degrees = [row.bit_count() for row in parent.adj]
     top_degree = max(degrees)
-    top = _mask(u for u in range(v) if degrees[u] == top_degree)
+    tops = _mask(u for u in range(v) if degrees[u] == top_degree)
+    least = top_degree if top else -1  # -1 lets every mask pass
     masks = [
         mask for mask in range(1 << v)
         if (size := mask.bit_count()) <= room
-        and (size > top_degree or (size == top_degree and not mask & top))
+        and (size > least or (size == least and not mask & tops))
     ]
     for mask in _orbit_minima(generators, v, masks):
         child = parent.add_vertex(mask)
         if predicate is not None and not predicate(child, v):
             continue
-        strict_top = final and mask.bit_count() > top_degree + bool(mask & top)
-        gens = _accept(child, strict_top, final)
+        cells = None if rank is None else rank(child)
+        strict_top = cells is None and final and mask.bit_count() > top_degree + bool(mask & tops)
+        gens = _accept(child, strict_top, final, cells)
         if gens is not None:
             yield child, gens
 
@@ -475,11 +490,8 @@ def enumerate_graphs(
     its best score grows, if it only ever rejects graphs whose
     descendants cannot be kept.
 
-    On n vertices the predicate sees every labeled child built, before
-    its canonical test, so a child it rejects there costs no canonical
-    form; and a child it keeps is yielded, if the test accepts it, before
-    the next child is built, so a caller may read what the predicate
-    learnt about the yielded graph.
+    The predicate sees every labeled child built, before its canonical
+    test, so a child it rejects costs no canonical form.
     """
     if n < 0:
         raise InvalidInputError("invalid-order", str(n))

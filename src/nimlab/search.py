@@ -2,29 +2,31 @@
 monochromatic pattern copies, over all k-colorings of K_n.
 
 The exact search is exhaustive and only feasible for tiny instances.
-It names the colors so that class sizes do not decrease, takes color 1
-from an isomorph-free enumeration of graphs with at most m/k edges, and
-splits the remaining edges among the other colors, once per orbit of
-color 1's automorphism group.  It is a branch and bound over the best
-score so far: a coloring is finished only while it can still reach that
-score, and for two colors a whole subtree of color-1 graphs is dropped
-once a pattern copy inside a small vertex set rules it out.  For two
-colors each coloring of K_v is scanned only on the pairs that its
-parent, the coloring of K_{v-1} it extends, left NIM and the pairs at
-the new vertex.  The heuristic is steepest-ascent single-edge
-recoloring restarted from the explicit constructions and then from
-random colorings.
+It names the colors so that class sizes do not decrease and takes color
+1 from an isomorph-free enumeration of graphs with at most m/k edges.
+For two colors color 2 is the rest, and the enumeration is a descent
+from K_1 that keeps a coloring of K_v only while it has enough NIM pairs
+for some extension to reach ex(n, H): the vertex-averaging floors of the
+Turán search, applied to NIM counts.  For three colors the remaining
+edges are split between colors 2 and 3 once per orbit of color 1's
+automorphism group, and a split is finished only while it can still
+reach the best score so far.  The heuristic is steepest-ascent
+single-edge recoloring restarted from the explicit constructions and
+then from random colorings.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 from typing import Optional
 
 from .canon import (
     CanonicalCode,
+    _children,
     _orbit_minima,
     canonical_code,
     canonical_form,
@@ -34,7 +36,7 @@ from .errors import InvalidInputError, RefusalError, ResourceLimitError
 from .graphs import SimpleGraph, edge_index, edge_pairs
 from .monoscan import EdgeColoring, _graph_nim, _nim_scan
 from .patterns import BipartitePattern
-from .turan import TuranCache, ex_exact
+from .turan import TuranCache, _floors, ex_exact
 from .constructions import (
     extremal_two_coloring,
     pentagon_three_coloring,
@@ -50,8 +52,8 @@ __all__ = [
 ]
 
 # Largest n the exhaustive search accepts, per color count: two colors
-# at n=9 score 80,783 labeled colorings (59,797 of them canonical),
-# three colors at n=6 score 6,163.
+# at n=9 scan 2,741 children for C4 and 15,268 for K_{2,3}, three colors
+# at n=6 score 6,163.
 EXACT_CEILINGS = {2: 9, 3: 6}
 
 
@@ -66,12 +68,12 @@ class SearchReport:
 
     `value` is the best count found and, in exact mode, the true maximum;
     `colorings` then lists every optimum up to vertex relabeling and color
-    renaming.  `nodes` counts the colorings scored: in exact mode those
-    left after the pruning of color-1 subtrees, including colorings
-    dropped unfinished by the bound on the best score.  For two colors
-    they are labeled colorings: color 1 is every labeled graph on the
-    last level of its enumeration, and the canonical test that keeps one
-    per class runs only on ties, so a class can be scored more than once.
+    renaming.  `nodes` counts the colorings scored.  For two colors, in
+    exact mode, these are the children the descent builds and scans on
+    every level, before their floor and canonical tests, so one class can
+    count more than once.  For three colors they are the colorings of K_n
+    left after the pruning, including those dropped unfinished by the
+    bound on the best score.  The heuristic counts the colorings scored.
     """
 
     n: int
@@ -120,18 +122,16 @@ def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
     return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)])
 
 
-def _smallest_classes(n: int, k: int, predicate=None):
+def _smallest_classes(n: int, k: int):
     """One graph per isomorphism class with at most m // k edges.
 
     Every k-coloring class has a member whose class sizes do not decrease
     with the color and whose color 1 is one of these graphs.  The cap
     holds on every graph on the way to a capped one, so it is passed to
     the enumeration as `max_edges`, and children over it are never built.
-    `predicate` is passed on to the enumeration.
     """
     cap = n * (n - 1) // 2 // k
-    return enumerate_graphs(n, ceiling=n, predicate=predicate,
-                            max_edges=lambda v: cap)
+    return enumerate_graphs(n, ceiling=n, max_edges=lambda v: cap)
 
 
 def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
@@ -153,9 +153,10 @@ def _distinct(ties: list[tuple[SimpleGraph, ...]]) -> list[EdgeColoring]:
     isomorphic to no other tie: an isomorphism keeps class sizes, and
     with the sizes increasing with the color, it cannot rename colors, so
     it carries color 1 to color 1.  Color 1 comes from one graph per
-    isomorphism class, so both ties have the same g and the vertex map is
-    an automorphism of g, carrying one split to the other; but the splits
-    of g lie in different orbits of Aut(g).
+    isomorphism class, so both ties have the same g, and with two colors
+    that is the whole coloring; with three the vertex map is an
+    automorphism of g carrying one split to the other, but the splits of
+    g lie in different orbits of Aut(g).
     """
     optima, keys = [], set()
     for classes in ties:
@@ -204,95 +205,73 @@ def _optima(pattern: BipartitePattern, groups):
     return best, _distinct(ties), nodes
 
 
-def _candidates(kept: list, g: SimpleGraph, rest: SimpleGraph):
-    """The pairs of each class of the 2-coloring (g, rest) of K_v that can
-    be NIM, for color 1 and for color 2.
-
-    `kept[v - 1]`, when set, is a scanned 2-coloring of K_{v-1}: the rows
-    of its color 1 and the NIM pairs of each of its classes.  When it is
-    the parent of (g, rest), the coloring without its last vertex z, a
-    copy inside the parent is a copy in (g, rest), so only the parent's
-    NIM pairs and the pairs at z are returned.  Otherwise every edge is.
-    """
-    z = g.n - 1
-    parent = kept[z]
-    if parent is None or parent[0] != tuple(row & ~(1 << z) for row in g.adj[:z]):
-        return list(g.edges()), list(rest.edges())
-    at_z = g.adj[z]
-    return (parent[1] + [(u, z) for u in range(z) if at_z >> u & 1],
-            parent[2] + [(u, z) for u in range(z) if not at_z >> u & 1])
-
-
 def _exact_two_color(n: int, pattern: BipartitePattern):
-    """Color 1 is each smallest class, color 2 the rest.
+    """Every 2-coloring of K_n with at least s = ex(n, H) NIM pairs, by
+    the averaging-floored descent that `turan._enum_ex` runs on edges.
 
-    A branch and bound over the enumeration of color 1.  A copy inside
-    K_v stays a copy in every coloring of K_n that extends it, so a
-    2-coloring (g, complement of g in K_v) of K_v bounds the score of
-    every such extension by C(n, 2) - C(v, 2) + its own score.  Every
-    graph that the enumeration reaches from g by adding vertices has g as
-    an induced subgraph, so a child g on v < n vertices whose bound falls
-    below the best score so far is rejected with its subtree.  The bound
-    is isomorphism-invariant, and it is strict while the best only grows,
-    so every optimal class survives.
+    Color 1 is a graph g with at most m/2 edges, a cap that holds on the
+    way to g, from canonical augmentation from K_1 (`canon._children`),
+    and color 2 is its complement.  The extremal two-coloring makes every
+    edge of an H-free witness NIM, so f >= s.  A copy inside K_{u-1} stays
+    a copy in K_u, so deleting a vertex of least NIM degree keeps the
+    floors L(u) of `turan._floors` from L(n) = s; that vertex is the
+    canonical deletion, as the vertices are ranked by the invariant key
+    (-NIM degree, degree), largest last, and z without the largest key is
+    rejected before any canonical form.  A child on v vertices is kept
+    only with at least L(v) NIM pairs; when L(v) = C(v, 2) the key orders
+    by degree alone, so masks that cannot give z top degree are dropped.
 
-    The same fact makes each scan incremental.  For every order v < n,
-    the search keeps the last 2-coloring of K_v whose two classes it
-    scanned in full, with the NIM pairs of each class.  A coloring of K_v
-    whose parent (the coloring without its last vertex z) is the one kept
-    for v - 1 can have NIM pairs only among the parent's NIM pairs and
-    the pairs at z, so only these are scanned; any other coloring is
-    scanned on all its edges, so no result depends on the order of the
-    enumeration.  The predicate scans both classes of every child on
-    v < n vertices that it accepts, even one it could accept unscanned,
-    so in the depth-first enumeration every coloring finds its parent
-    kept.
-
-    The predicate scores each coloring of K_n, the last level, with the
-    same floors, so it keeps one only when it ties or beats the running
-    best, which it raises to that score.  The enumeration runs its
-    canonical test only on the children the predicate keeps, and yields
-    an accepted one before it builds the next (see `enumerate_graphs`),
-    so every graph it yields was just scored and ties or beats every
-    earlier one.  Most children fall below the best, so most last-level
-    canonical forms are never computed, at the price of scoring the
-    children the test would have dropped.  A dropped child scores what
-    its accepted isomorph scores, and the subtree bound is strict, so the
-    canonical ancestors of every class that reaches the final best
-    survive: the ties are the accepted colorings that reach it, in the
-    order of the enumeration.
+    A child is scanned only on its parent's NIM pairs and the pairs at the
+    new vertex z, since no other pair can be NIM.  A leaf that beats the
+    target raises it and the floors, so the optima are the leaves that
+    reach the final best, one kept per class.  Returns the value, the
+    optima and the number of children scanned.
     """
-    if n == 1:  # K_1 has no pair, so the predicate never runs
-        return 0, [EdgeColoring(1, 2, [])], 1
-    m = n * (n - 1) // 2
-    best = [-1]
-    scored = [0]  # colorings of K_n scored, finished or not
-    kept: list = [None] * n  # v -> the kept 2-coloring of K_v (see _candidates)
+    best = ex_exact(n, pattern).value
+    floors = _floors(n, best)
+    cap = n * (n - 1) // 4  # color 1 is the smaller class
+    leaves, nodes = [], 0
+    found = None  # the NIM pairs of each color of the child just kept
 
-    def hopeful(child: SimpleGraph, z: int) -> bool:
-        v = child.n
-        scored[0] += v == n
-        outside = m - v * (v - 1) // 2
-        rest = child.complement()
-        one, two = _candidates(kept, child, rest)
-        scan = _nim_scan(child.adj, pattern, one, best[0] - outside - len(two))
-        if scan is None:
-            return False
-        rest_scan = _nim_scan(rest.adj, pattern, two, best[0] - outside - len(scan[0]))
-        if rest_scan is None:
-            return False
-        if v < n:
-            kept[v] = (child.adj, scan[0], rest_scan[0])
-        else:  # the floors let a coloring of K_n finish only at the best or above
-            best[0] = len(scan[0]) + len(rest_scan[0])
-        return True
+    def rank(child: SimpleGraph) -> list[list[int]]:
+        nim = Counter(chain(*found[0], *found[1]))
+        key = [(-nim[u], child.adj[u].bit_count()) for u in range(child.n)]
+        return [[u for u in range(child.n) if key[u] == k] for k in sorted(set(key))]
 
-    ties, top = [], -1
-    for g in _smallest_classes(n, 2, hopeful):
-        if best[0] > top:  # g scored best[0], above every earlier tie
-            ties, top = [], best[0]
-        ties.append((g, g.complement()))
-    return best[0], _distinct(ties), scored[0]
+    def descend(g: SimpleGraph, gens, one: list, two: list) -> None:
+        nonlocal best, floors, leaves
+        if g.n == n:
+            score = len(one) + len(two)
+            if score > best:
+                best, floors, leaves = score, _floors(n, score), []
+            leaves.append(g)
+            return
+        v = g.n + 1
+
+        def hopeful(child: SimpleGraph, z: int) -> bool:
+            nonlocal nodes, found
+            nodes += 1
+            at_z = child.adj[z]
+            ones = one + [(u, z) for u in range(z) if at_z >> u & 1]
+            twos = two + [(u, z) for u in range(z) if not at_z >> u & 1]
+            scan = _nim_scan(child.adj, pattern, ones, floors[v] - len(twos))
+            if scan is None:
+                return False
+            rest = _nim_scan(child.complement().adj, pattern, twos, floors[v] - len(scan[0]))
+            if rest is None:
+                return False
+            found = (scan[0], rest[0])
+            return True
+
+        all_nim = floors[v] == comb(v, 2)
+        for child, child_gens in _children(g, gens, hopeful, cap - g.num_edges,
+                                           v == n, rank, all_nim):
+            descend(child, child_gens, *found)
+
+    descend(SimpleGraph.empty(1), (), [], [])
+    if not leaves:
+        raise RuntimeError(f"no 2-coloring of K_{n} reaches ex({n}, {pattern.name}) = {best}")
+    return best, _distinct([(g, g.complement()) for g in leaves]), nodes
 
 
 def _exact_three_color(n: int, pattern: BipartitePattern):

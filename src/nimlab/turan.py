@@ -164,6 +164,17 @@ def _pattern_free_predicate(pattern: BipartitePattern):
     return pred
 
 
+def _floors(n: int, value: int) -> list[int]:
+    """L(0..n) with L(n) = value and L(u - 1) = L(u) - floor(2L(u)/u):
+    deleting a vertex of least degree from a graph on u vertices with
+    N >= L(u) edges leaves at least L(u - 1), as N - floor(2N/u) does not
+    decrease in N.  Edges may be NIM pairs, with NIM degrees."""
+    floors = [value]
+    for u in range(n, 0, -1):
+        floors.append(floors[-1] - 2 * floors[-1] // u)
+    return floors[::-1]
+
+
 def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
     """ex(n, H) and its extremal classes by an edge-floored descent.
 
@@ -172,10 +183,9 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
     at least m edges gives ex(v), and its graphs are every extremal class.
     A level enumerates complements, whose canonical-last vertex has top
     degree there, so a minimum degree in the graph itself.  Deleting it
-    leaves at least L(u-1) = L(u) - floor(2L(u)/u) of L(u) edges, so every
-    ancestor of a graph on v vertices with L(v) = m edges keeps L(u).  The
-    complement of such an ancestor has at most cap(u) = C(u, 2) - L(u)
-    edges, so complements over it are never built.
+    keeps the floors L(u) of `_floors` from L(v) = m, so the complement of
+    each ancestor on u vertices has at most cap(u) = C(u, 2) - L(u) edges,
+    and complements over it are never built.
 
     The enumeration on u vertices depends only on the caps for 2..u, so
     each layer of canonical augmentation (`canon._children`) is built once
@@ -204,11 +214,9 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
     for v in range(2, n + 1):
         top = comb(v, 2) if v == 2 else min(comb(v, 2), v * value // (v - 2))
         for value in range(top, -1, -1):
-            caps, floor = [], value
-            for u in range(v, 1, -1):
-                caps.append(comb(u, 2) - floor)
-                floor -= 2 * floor // u
-            wits = [g.complement() for g, _ in layer(tuple(reversed(caps)))]
+            floors = _floors(v, value)
+            caps = tuple(comb(u, 2) - floors[u] for u in range(2, v + 1))
+            wits = [g.complement() for g, _ in layer(caps)]
             if wits:
                 break
     codes = sorted(encode_graph6(canonical_graph(w)) for w in wits)

@@ -16,7 +16,7 @@ from nimlab.canon import (
 )
 from nimlab.errors import InvalidInputError
 from nimlab.patterns import build_pattern
-from nimlab.turan import _pattern_free_predicate
+from nimlab.turan import _floors, _pattern_free_predicate
 from nimlab.graphs import SimpleGraph, edge_pairs
 
 from conftest import (
@@ -251,6 +251,40 @@ def test_enumerate_yields_distinct_canonical_representatives():
         code = canonical_code(g)
         assert code not in seen
         seen.add(code)
+
+
+@pytest.mark.parametrize("key", ["least degree", "triangles"])
+def test_ranked_deletion_gives_every_class_once(key):
+    # any isomorphism-invariant vertex key may choose the deleted vertex:
+    # with it as the rank of `_children` and no top-degree mask filter,
+    # the descent from K_1 yields each class once.  Deleting a vertex of
+    # least degree keeps the floors of `_floors`, so with that key the
+    # descent floored from m yields every graph with at least m edges
+    weight = {
+        "least degree": lambda g, u: -g.adj[u].bit_count(),
+        "triangles": lambda g, u: sum((g.adj[a] & g.adj[u]).bit_count()
+                                      for a in range(g.n) if g.adj[u] >> a & 1),
+    }[key]
+
+    def rank(g):
+        keys = [weight(g, u) for u in range(g.n)]
+        return [[u for u in range(g.n) if keys[u] == k] for k in sorted(set(keys))]
+
+    def descend(g, gens, floors):
+        if g.n == len(floors) - 1:
+            yield g
+            return
+        for child, child_gens in canon._children(
+                g, gens, lambda child, z: child.num_edges >= floors[child.n],
+                g.n, g.n + 2 == len(floors), rank, False):
+            yield from descend(child, child_gens, floors)
+
+    for n in range(1, 7):
+        m = n * (n - 1) // 3 if key == "least degree" else 0
+        got = [canonical_code(g) for g in descend(SimpleGraph.empty(1), (), _floors(n, m))]
+        assert len(got) == len(set(got)), (key, n)
+        want = {canonical_code(g) for g in enumerate_graphs(n) if g.num_edges >= m}
+        assert set(got) == want, (key, n)
 
 
 def _tri_free(g, v):

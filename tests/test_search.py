@@ -16,7 +16,6 @@ from nimlab.monoscan import EdgeColoring, _graph_nim, _nim_scan, is_h_free, nim_
 from nimlab.patterns import build_pattern
 from nimlab.search import (
     EXACT_CEILINGS,
-    _candidates,
     _class_counts,
     _coloring_key,
     _smallest_classes,
@@ -24,7 +23,7 @@ from nimlab.search import (
     f_heuristic,
     verify_extremal_characterization,
 )
-from nimlab.turan import clear_memo, ex_exact
+from nimlab.turan import _floors, clear_memo, ex_exact
 
 
 def _brute_f(n, pattern, k):
@@ -129,33 +128,45 @@ def test_three_color_at_the_n6_ceiling(c4):
 
 
 def _reference_exact_two_color(n, pattern):
-    """Score (g, complement) for every smallest class g, unpruned: the
-    value and one coloring per optimal class, in first-found order."""
+    """Score (g, complement) for every smallest class g, with no pruning
+    of classes: the value and the keys of the optimal colorings.  Color 2
+    is scanned with the floor best - (color 1's count), so a coloring
+    that cannot tie stops early and every tie is scored in full."""
     best, ties = -1, []
     for g in _smallest_classes(n, 2):
-        col = EdgeColoring.from_graph(g, k=2)
-        score = sum(_class_counts(col, pattern))
+        one = len(_graph_nim(g, pattern)[0])
+        rest = g.complement()
+        scan = _nim_scan(rest.adj, pattern, rest.edges(), best - one)
+        if scan is None:
+            continue
+        score = one + len(scan[0])
         if score > best:
             best, ties = score, []
-        if score == best:
-            ties.append(col)
-    optima = {}
-    for col in ties:
-        optima.setdefault(_coloring_key(col), col)
-    return best, list(optima.values())
+        ties.append(EdgeColoring.from_graph(g, k=2))
+    return best, {_coloring_key(col) for col in ties}
 
 
-@pytest.mark.parametrize("name", ["c4", "k3", "k2,3", "c6", "theta2,3", "k3,3"])
-def test_two_color_bounds_keep_every_optimum_in_order(name):
-    # the pruned search finishes only hopeful colorings and drops whole
-    # subtrees of color 1; the optima and their order must not change
+def _check_two_color_against_reference(name, n):
     pattern = build_pattern(name)
+    value, keys = _reference_exact_two_color(n, pattern)
+    rep = f_exact(n, pattern, 2)
+    assert rep.value == value, (name, n)
+    got = [_coloring_key(col) for col in rep.colorings]
+    assert len(got) == len(set(got)) and set(got) == keys, (name, n)
+    assert rep.optima_complete
+
+
+@pytest.mark.parametrize("name", ["c4", "k3", "k2,3", "c6", "theta2,3", "k3,3", "k1,2"])
+def test_two_color_bounds_keep_every_optimum_in_order(name):
+    # the descent keeps only colorings that its floors allow to reach
+    # ex(n, H); it must lose no optimal class and keep one of each
     for n in range(2, 9):
-        value, optima = _reference_exact_two_color(n, pattern)
-        rep = f_exact(n, pattern, 2)
-        assert rep.value == value, (name, n)
-        assert list(rep.colorings) == optima, (name, n)
-        assert rep.optima_complete
+        _check_two_color_against_reference(name, n)
+
+
+def test_two_color_descent_matches_the_reference_at_n9():
+    # the largest case inside EXACT_CEILINGS[2], with 10 optimal classes
+    _check_two_color_against_reference("c4", 9)
 
 
 def test_bounded_nim_scan_stops_only_below_the_floor():
@@ -199,75 +210,66 @@ def test_bounded_nim_scan_stops_only_below_the_floor():
                     assert got == (nim, witness), (n, pattern.name, listed, need)
 
 
-def test_two_color_node_count_after_pruning(c4):
-    # colorings scored once the enumeration drops hopeless subtrees; all
-    # 6,996 classes with at most 14 edges are scored without the bound.
-    # The last level is scored before its canonical test, so these are
-    # labeled colorings; with the test run first, 4,687 were scored
-    assert f_exact(8, c4, 2).nodes == 6401
-
-
-def test_two_color_candidates_cover_every_nim_pair():
-    # a kept parent narrows the scan to its NIM pairs and the pairs at the
-    # last vertex z; a kept coloring that is not the parent must not
-    rng = random.Random(29)
+def test_descent_floors_hold_and_are_tight():
+    # K_8 loses exactly floor(2N/u) of its N edges with any vertex, so the
+    # floors from C(8, 2) are the C(u, 2) and none of them can be raised
+    assert _floors(8, 28) == [u * (u - 1) // 2 for u in range(9)]
+    # deleting a vertex of least NIM degree from a 2-coloring of K_u with
+    # N NIM pairs leaves at least L(u - 1) of _floors(u, N) NIM
+    rng = random.Random(31)
     pats = [build_pattern(s) for s in ("k1,2", "k3", "c4", "k2,3")]
-    for _ in range(200):
-        n = rng.randrange(2, 9)
+    for _ in range(60):
+        u = rng.randrange(2, 8)
         pattern = rng.choice(pats)
-        g = EdgeColoring.random(n, 2, seed=rng.randrange(2 ** 32)).class_graph(1)
-        rest = g.complement()
-        z = n - 1
-        parent = g.delete_vertex(z)
-        if rng.random() < 0.5:
-            parent = EdgeColoring.random(z, 2, seed=rng.randrange(2 ** 32)).class_graph(1)
-        is_parent = parent == g.delete_vertex(z)
-        kept = [None] * n
-        kept[z] = (parent.adj, _graph_nim(parent, pattern)[0],
-                   _graph_nim(parent.complement(), pattern)[0])
-        one, two = _candidates(kept, g, rest)
-        for h, listed, kept_nim in ((g, one, kept[z][1]), (rest, two, kept[z][2])):
-            edges = list(h.edges())
-            assert set(_graph_nim(h, pattern)[0]) <= set(listed) <= set(edges)
-            assert len(set(listed)) == len(listed)
-            if is_parent:
-                at_z = [(u, z) for u in range(z) if h.has_edge(u, z)]
-                assert listed == kept_nim + at_z
-            else:
-                assert listed == edges
+        col = EdgeColoring.random(u, 2, seed=rng.randrange(2 ** 32))
+        flags = oracle_nim_flags(col, pattern)
+        degree = [0] * u
+        for (a, b), nim in zip(edge_pairs(u), flags):
+            degree[a] += nim
+            degree[b] += nim
+        x = degree.index(min(degree))
+        kept = [v for v in range(u) if v != x]
+        rest = EdgeColoring(u - 1, 2, [col.color_of(kept[a], kept[b])
+                                       for a, b in edge_pairs(u - 1)])
+        assert sum(oracle_nim_flags(rest, pattern)) >= _floors(u, sum(flags))[u - 1]
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls of module.name from here on."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_two_color_node_count_after_pruning(c4):
+    # children the descent builds and scans on every level, before their
+    # floor and canonical tests
+    assert f_exact(8, c4, 2).nodes == 1599
 
 
 def test_two_color_scans_only_pairs_that_can_be_nim(c4, monkeypatch):
-    # each coloring is scanned on its parent's NIM pairs and the pairs at
-    # the new vertex, and color 1 of a coloring of K_n under a floor; the
-    # search scanning every edge made 57,087 matcher calls here, and
-    # 20,420 when it scored only the last level's canonical children
-    calls = [0]
-    copy_through = monoscan._copy_through
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return copy_through(*args, **kwargs)
-
-    monkeypatch.setattr(monoscan, "_copy_through", counting)
+    # each child is scanned on its parent's NIM pairs and the pairs at the
+    # new vertex, under its floor
+    calls = _counted(monkeypatch, monoscan, "_copy_through")
     assert f_exact(8, c4, 2).value == 11
-    assert calls[0] == 25115
+    assert calls[0] == 8381
 
 
 def test_two_color_runs_the_canonical_test_only_on_ties(c4, monkeypatch):
-    # the last level's canonical test runs only on colorings that reach
-    # the running best; run on every last-level child, the search made
-    # 1,551 canonical forms here
-    calls = [0]
-    form = canon.canonical_form
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return form(*args, **kwargs)
-
-    monkeypatch.setattr(canon, "canonical_form", counting)
+    # canonical forms of the descent's children and of the ties compared
+    # by key: a child whose z lacks the largest (-NIM degree, degree) key,
+    # or holds it alone on the last level, needs none.  ex(8, C4) is
+    # memoized first, so that only the coloring search is counted
+    ex_exact(8, c4)
+    calls = _counted(monkeypatch, canon, "canonical_form")
     assert f_exact(8, c4, 2).value == 11
-    assert calls[0] == 696
+    assert calls[0] == 65
 
 
 @pytest.mark.parametrize("k", [2, 3])
