@@ -24,10 +24,11 @@ Each side also hashes the case's output (the enumerated graphs in order,
 the `f_exact` report, the `_enum_ex` record), so equal hashes show that
 the outputs are byte-identical.  The hashed `f_exact` reports leave out
 `nodes`, which is reported as a count instead.  For `f_exact(5, c4, 3)`
-the output is the value and the sorted `_coloring_key`s of the optima,
-since the three-color search may list optima in another order; the keys
-are computed inside the timed run, alike on both sides.  The result goes
-to FILE, by default `bench/BENCH_canon_augmentation.json`.
+the output is the value and the sorted keys of the optima, by
+`f_descent.coloring_key` on both sides, since the three-color search may
+list optima in another order; the keys are computed inside the timed
+run, alike on both sides.  The result goes to FILE, by default
+`bench/BENCH_canon_augmentation.json`.
 
 `enumerate_graphs(8, m <= 14)` is the sweep behind `f_exact(8, c4, 2)`:
 every class on 8 vertices with at most 14 edges, capped by a predicate.
@@ -73,7 +74,8 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
     its `SearchReport.nodes`."""
     from nimlab.canon import enumerate_graphs
     from nimlab.patterns import build_pattern
-    from nimlab.search import _coloring_key, _smallest_classes, f_exact
+    from f_descent import coloring_key
+    from nimlab.search import _smallest_classes, f_exact
     from nimlab.turan import _enum_ex
 
     if case == "enumerate_graphs(8)":
@@ -91,7 +93,7 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
         return json.dumps(doc, sort_keys=True), rep.nodes
     if case == "f_exact(5, c4, 3)":
         rep = f_exact(5, build_pattern("c4"), 3)
-        keys = sorted(_coloring_key(c).hex() for c in rep.colorings)
+        keys = sorted(coloring_key(c) for c in rep.colorings)
         return json.dumps({"value": rep.value, "keys": keys}), rep.nodes
     if case == "_enum_ex(8, c6)":
         return json.dumps(_enum_ex(8, build_pattern("c6"), "").to_json(), sort_keys=True), None

@@ -19,10 +19,12 @@ machine:
 - `nodes`: the report's `SearchReport.nodes`, whose meaning differs
   between the sides (colorings scored against children scanned)
 
-Each side hashes the value and the sorted `_coloring_key`s of the
+Each side hashes the value and the sorted `coloring_key`s of the
 optima, so equal hashes show that both find the same optimal classes;
-the representatives and their order may differ.  The result goes to
-FILE, by default `bench/BENCH_f_descent.json`.
+the representatives and their order may differ.  `coloring_key` is
+defined here, not taken from `nimlab.search`, so that both sides hash
+with one key function whatever `search._coloring_key` computes there.
+The result goes to FILE, by default `bench/BENCH_f_descent.json`.
 """
 
 from __future__ import annotations
@@ -49,11 +51,27 @@ CASES = {  # case -> (n, pattern, repeats)
 }
 
 
+def coloring_key(coloring) -> str:
+    """Hex key of a coloring up to vertex relabeling and color renaming:
+    the canonical code of its incidence graph, one vertex per host vertex,
+    per edge and per color, each edge vertex joined to its two ends and to
+    its color, with the colors in one cell."""
+    from nimlab.canon import canonical_code
+    from nimlab.graphs import SimpleGraph, edge_pairs
+
+    n, k, m = coloring.n, coloring.k, len(coloring.colors)
+    links = []
+    for i, (u, v) in enumerate(edge_pairs(n)):
+        links += [(n + i, u), (n + i, v), (n + i, n + m + coloring.colors[i] - 1)]
+    g = SimpleGraph.from_edges(n + m + k, links)
+    return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)]).hex()
+
+
 def _child(case: str, counted: bool) -> None:
     import nimlab.cli  # noqa: F401  (loads every module the tracer wraps)
     from nimlab.graphs import SimpleGraph
     from nimlab.patterns import build_pattern
-    from nimlab.search import _coloring_key, f_exact
+    from nimlab.search import f_exact
 
     tracer, children = None, [0]
     if counted:
@@ -80,7 +98,7 @@ def _child(case: str, counted: bool) -> None:
         out["children"] = children[0]
         out["canonical_form_calls"] = tracer.layer("canon.canonical_form")["calls"]
         out["copy_through_calls"] = tracer.layer("monoscan._copy_through")["calls"]
-    keys = sorted(_coloring_key(c).hex() for c in rep.colorings)
+    keys = sorted(coloring_key(c) for c in rep.colorings)
     text = json.dumps([rep.value, keys])
     out["optima_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     print(json.dumps(out))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Optional
 
@@ -109,17 +109,40 @@ class SearchReport:
 def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
     """Isomorphism key of a coloring under vertex relabeling and color renaming.
 
-    The canonical code of its incidence graph: one vertex per host vertex,
-    per edge and per color, each edge vertex joined to its two ends and to
-    its color.  The colors share one cell, so renaming them is free.
+    The colors are renamed 0..k-1 by increasing class size, in every order
+    among classes of one size, and the key is the least canonical code of
+    the layered graph of a renaming (the edge-color encoding of McKay and
+    Piperno, "Practical graph isomorphism II", 2014): ceil(log2 k) copies of
+    the vertex set, edge uv in copy l when bit l of its color is set, and
+    each vertex's copies joined in a path.  Each copy is its own cell, so
+    an isomorphism of layered graphs is one vertex map on every copy.
     """
     n, k = coloring.n, coloring.k
-    m = len(coloring.colors)
-    links = []
-    for i, (u, v) in enumerate(edge_pairs(n)):
-        links += [(n + i, u), (n + i, v), (n + i, n + m + coloring.colors[i] - 1)]
-    g = SimpleGraph.from_edges(n + m + k, links)
-    return canonical_code(g, cells=[range(n), range(n, n + m), range(n + m, n + m + k)])
+    layers = max(1, (k - 1).bit_length())
+    adj = [[0] * n for _ in range(k + 1)]
+    for (u, v), c in zip(edge_pairs(n), coloring.colors):
+        adj[c][u] |= 1 << v
+        adj[c][v] |= 1 << u
+    sizes = Counter(coloring.colors)
+    ties: dict[int, list[int]] = {}
+    for c in range(1, k + 1):
+        ties.setdefault(sizes[c], []).append(c)
+    cells = [range(l * n, (l + 1) * n) for l in range(layers)]
+    paths = [(1 << v + n if l < layers - 1 else 0) | (1 << v - n if l else 0)
+             for l in range(layers) for v in range(l * n, (l + 1) * n)]
+
+    def code(order) -> CanonicalCode:
+        rows = list(paths)
+        for i, c in enumerate(chain(*order)):
+            for l in range(layers):
+                if i >> l & 1:
+                    for v in range(n):
+                        rows[l * n + v] |= adj[c][v] << l * n
+        return canonical_code(SimpleGraph(layers * n, tuple(rows)), cells=cells)
+
+    # the order among empty classes changes no layer
+    return min(code(order) for order in product(
+        *(permutations(ties[s]) if s else [ties[s]] for s in sorted(ties))))
 
 
 def _smallest_classes(n: int, k: int):

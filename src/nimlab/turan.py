@@ -564,21 +564,63 @@ def _has_oriented_copy(g: SimpleGraph, m: int, rp: BipartitePattern) -> bool:
     return contains_copy(g, rp, allowed=allowed)
 
 
+def _aligned_rows(cells: tuple[tuple[int, int], ...]) -> list[int]:
+    """Every row top-aligned in the cells [lo, hi): in each cell its bits
+    are the cell's highest.  Largest first under (popcount, value)."""
+    rows = [0]
+    for lo, hi in cells:
+        rows = [r | ((1 << k) - 1) << (hi - k) for r in rows for k in range(hi - lo + 1)]
+    return sorted(rows, key=lambda r: (r.bit_count(), r), reverse=True)
+
+
+def _split(cells: tuple[tuple[int, int], ...], row: int) -> tuple[tuple[int, int], ...]:
+    """The cells a top-aligned row cuts: each into its bits and the rest."""
+    out = []
+    for lo, hi in cells:
+        top = hi - (row >> lo & ((1 << (hi - lo)) - 1)).bit_count()
+        out += [c for c in ((lo, top), (top, hi)) if c[0] < c[1]]
+    return tuple(out)
+
+
 def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord:
+    """ex*(m, n) of the reduced pattern and every extremal host class, by a
+    labeled DFS over the rows (neighborhoods of the m-part, as n-bit masks).
+
+    Rows are placed non-increasing under (popcount, value), which quotients
+    permutations of the m-part, and row i must be top-aligned in every cell
+    that rows 0..i-1 cut out of [0, n), which quotients those of the
+    n-part: row 0 splits [0, n) into its top |r0| bits and the rest, row 1
+    splits each of those cells the same way, and so on, so the cells stay
+    contiguous bit ranges.  A row whose host holds an oriented copy is
+    dropped, and a branch stops once even rows as large as the current
+    one cannot reach the best value.
+
+    Every host has such a labeling.  Start from the cell {[0, n)} and
+    repeatedly take the remaining row whose cell-top form, the row with its
+    bits in each current cell moved to the cell's top, is largest in
+    (popcount, value); then permute the n-part inside the cells to align
+    it, and cut the cells by it.  The permutation only moves bits inside
+    cells, and each earlier row is a union of cells, so earlier rows keep
+    their place.  Top alignment in a cell gives the largest value among the
+    placements of its bits there, so a row's cell-top form under finer
+    cells is no larger: each row taken is at most the one before it.  So
+    the value and every extremal class are found.
+
+    The labeled extremal hosts are kept up to 4,096 and deduplicated by a
+    canonical form respecting the parts; the WITNESS_CAP smallest codes
+    are reported, complete when none were dropped.
+    """
     if m * n > EXSTAR_CELL_BUDGET:
         raise ResourceLimitError(
             "one-sided-budget", f"{m}x{n} host exceeds the {EXSTAR_CELL_BUDGET}-cell search budget"
         )
-    # Rows (neighborhoods of the m-part) are taken non-increasing under the
-    # order (popcount, value), which every host attains after permuting its
-    # m-part, so the value search is exhaustive up to that symmetry.
-    masks = sorted(range(1 << n), key=lambda x: (x.bit_count(), x), reverse=True)
+    aligned: dict[tuple, tuple[list[int], dict[int, int]]] = {}
     best = -1
     wits: list[list[int]] = []
     overflow = False
     rows = [0] * m
 
-    def place(i: int, cur: int, lo: int):
+    def place(i: int, cur: int, prev: int, cells: tuple):
         nonlocal best, wits, overflow
         if i == m:
             if cur > best:
@@ -589,27 +631,27 @@ def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord
                 else:
                     overflow = True
             return
-        for idx in range(lo, len(masks)):
-            mask = masks[idx]
+        if cells not in aligned:
+            masks = _aligned_rows(cells)
+            aligned[cells] = masks, {mask: idx for idx, mask in enumerate(masks)}
+        masks, index = aligned[cells]
+        # prev is a union of cells, so it is aligned, and rows after it in
+        # the list are no larger than it
+        for mask in masks[index[prev]:]:
             if cur + mask.bit_count() * (m - i) < best:
                 break
             rows[i] = mask
-            host = _host_graph(m, n, rows[: i + 1] + [0] * (m - i - 1))
-            if not _has_oriented_copy(host, m, rp):
-                place(i + 1, cur + mask.bit_count(), idx)
+            if not _has_oriented_copy(_host_graph(m, n, rows), m, rp):
+                place(i + 1, cur + mask.bit_count(), mask, _split(cells, mask))
         rows[i] = 0
 
-    place(0, 0, 0)
-    seen: dict[bytes, SimpleGraph] = {}
-    for w in wits:
-        g = _host_graph(m, n, w)
-        res = canonical_form(g, cells=[list(range(m)), list(range(m, m + n))])
-        if res.code.data not in seen:
-            seen[res.code.data] = g.relabel(list(res.labeling))
-    complete = not overflow and len(seen) <= WITNESS_CAP
-    codes = tuple(sorted(encode_graph6(g) for g in list(seen.values())[:WITNESS_CAP]))
+    place(0, 0, (1 << n) - 1, ((0, n),))
+    parts = [list(range(m)), list(range(m, m + n))]
+    codes = sorted({encode_graph6(g.relabel(list(canonical_form(g, cells=parts).labeling)))
+                    for g in (_host_graph(m, n, w) for w in wits)})
     return TuranRecord("exstar", rp.name, fp, n, best, True, "bipartite-dfs",
-                       codes, complete, m=m)
+                       tuple(codes[:WITNESS_CAP]), not overflow and len(codes) <= WITNESS_CAP,
+                       m=m)
 
 
 def _compute_exstar(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord:

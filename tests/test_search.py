@@ -325,19 +325,22 @@ def _relabeled(coloring, perm, names):
 
 
 def test_coloring_key_matches_oracle():
+    # classes of one size are common here, so the least code over their
+    # renamings is exercised
     rng = random.Random(5)
-    for n in (4, 5):
+    for k, n in itertools.product((2, 3, 4), (4, 5)):
+        colors = list(range(1, k + 1))
         cols = []
         for _ in range(12):
-            col = EdgeColoring.random(n, 3, seed=rng.randrange(2 ** 32))
+            col = EdgeColoring.random(n, k, seed=rng.randrange(2 ** 32))
             perm = rng.sample(range(n), n)
-            cols += [col, _relabeled(col, perm, [1, 2, 3]),
-                     _relabeled(col, perm, rng.sample([1, 2, 3], 3))]
+            cols += [col, _relabeled(col, perm, colors),
+                     _relabeled(col, perm, rng.sample(colors, k))]
         keys = [_coloring_key(c) for c in cols]
         oracle = [oracle_coloring_key(c) for c in cols]
         for i in range(len(cols)):
             for j in range(i):
-                assert (keys[i] == keys[j]) == (oracle[i] == oracle[j]), (n, i, j)
+                assert (keys[i] == keys[j]) == (oracle[i] == oracle[j]), (k, n, i, j)
         assert len(set(oracle)) > 1
 
 

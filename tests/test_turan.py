@@ -10,7 +10,7 @@ import pytest
 
 import nimlab.turan
 from conftest import oracle_ex, oracle_is_free
-from nimlab.canon import canonical_code
+from nimlab.canon import canonical_code, canonical_form
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, decode_graph6, edge_pairs, encode_graph6
 from nimlab.monoscan import is_h_free
@@ -322,6 +322,80 @@ def test_ex_star_formula_vs_search(c4, k23):
             if m * n > 30:
                 continue
             assert ex_star_exact(m, n, rp).value == _exstar_search(m, n, rp, fp).value
+
+
+def _reference_exstar_search(m, n, rp):
+    """The row search before its rows were top-aligned in cells, with no
+    cap on labeled witnesses: rows non-increasing under (popcount, value),
+    which quotients the m-part alone.  The value and the sorted codes of
+    every extremal class, canonical under the two parts."""
+    masks = sorted(range(1 << n), key=lambda x: (x.bit_count(), x), reverse=True)
+    best, wits, rows = -1, [], [0] * m
+
+    def place(i, cur, lo):
+        nonlocal best, wits
+        if i == m:
+            if cur > best:
+                best, wits = cur, []
+            wits.append(rows[:])
+            return
+        for idx in range(lo, len(masks)):
+            mask = masks[idx]
+            if cur + mask.bit_count() * (m - i) < best:
+                break
+            rows[i] = mask
+            if not nimlab.turan._has_oriented_copy(nimlab.turan._host_graph(m, n, rows), m, rp):
+                place(i + 1, cur + mask.bit_count(), idx)
+        rows[i] = 0
+
+    place(0, 0, 0)
+    parts = [list(range(m)), list(range(m, m + n))]
+    codes = set()
+    for w in wits:
+        g = nimlab.turan._host_graph(m, n, w)
+        codes.add(encode_graph6(g.relabel(list(canonical_form(g, cells=parts).labeling))))
+    return best, sorted(codes)
+
+
+@pytest.mark.parametrize("name", ["c6", "theta2,3", "k3,3", "c8"])
+def test_exstar_search_matches_reference(name):
+    # top-aligned rows lose no value and no extremal class
+    rp = build_pattern(name).reduced()
+    fp = rp.oriented_fingerprint.hex()
+    for m in range(len(rp.X), 8):
+        for n in range(len(rp.Y), 8):
+            if m * n > 24:
+                continue
+            value, codes = _reference_exstar_search(m, n, rp)
+            rec = _exstar_search(m, n, rp, fp)
+            assert rec.value == value, (name, m, n)
+            assert rec.witnesses == tuple(codes[:nimlab.turan.WITNESS_CAP]), (name, m, n)
+            assert rec.witnesses_complete == (len(codes) <= nimlab.turan.WITNESS_CAP)
+
+
+def test_exstar_k33_4x7_lists_every_class():
+    # the search without alignment overflowed its 4,096 labeled hosts here
+    # and listed 3 of these classes; with its cap lifted it finds these 6
+    rp = build_pattern("k3,3").reduced()
+    rec = _exstar_search(4, 7, rp, rp.oriented_fingerprint.hex())
+    assert rec.value == 16 and rec.witnesses_complete
+    assert rec.witnesses == ("J?FDBBOkB_?", "J?Z_a_osD_?", "J?Zca`OKD_?",
+                             "J?qcb@OKF_?", "J?qcb@OkB_?", "J?zca`OK@_?")
+
+
+def test_exstar_search_copy_checks(monkeypatch):
+    # one copy check per row placed: 52 with aligned rows, 2,049 without
+    calls = [0]
+    contains_copy = nimlab.turan.contains_copy
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return contains_copy(*args, **kwargs)
+
+    monkeypatch.setattr(nimlab.turan, "contains_copy", counting)
+    rp = build_pattern("c6").reduced()
+    assert _exstar_search(5, 6, rp, "").value == 12
+    assert calls[0] <= 64
 
 
 def test_ex_star_fit_branch(c4):
