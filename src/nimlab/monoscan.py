@@ -5,7 +5,9 @@ copy of H uses e; such a copy would have to live in the color class of e,
 so scanning one class per edge suffices.  The matcher pins a pattern edge
 onto the queried edge, one pinned plan per orbit of directed pattern edges,
 and extends by intersecting neighborhood bitmasks, placing unpinned twin
-pattern vertices on increasing host vertices.
+pattern vertices on increasing host vertices.  The plans of a pattern are
+compiled once, on first use, into a Python function of nested loops over
+candidate masks (`_extend`), which the pattern keeps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError
-from .graphs import SimpleGraph, bits_to_list, edge_index, edge_pairs
+from .graphs import SimpleGraph, edge_index, edge_pairs
 from .patterns import BipartitePattern, PinPlan
 
 
@@ -137,30 +139,87 @@ class EdgeColoring:
 
 
 # ---------------------------------------------------------------------------
-# Subgraph matcher on neighborhood bitmasks.
+# Subgraph matcher on neighborhood bitmasks, compiled once per pattern.
 # ---------------------------------------------------------------------------
 
-def _extend(rows: list[int], plan: PinPlan, assign: list[int], used: int, pos: int,
-            allowed: Optional[list[int]]) -> bool:
-    order, preds = plan.order, plan.preds
-    if pos == len(order):
-        return True
-    full = (1 << len(rows)) - 1
-    m = full & ~used
-    for p in preds[pos]:
-        m &= rows[assign[p]]
-    if allowed is not None:
-        m &= allowed[order[pos]]
-    twin = plan.twins[pos]
-    if twin >= 0:
-        m &= -2 << assign[twin]
-    while m:
-        w = (m & -m).bit_length() - 1
-        m &= m - 1
-        assign[pos] = w
-        if _extend(rows, plan, assign, used | (1 << w), pos + 1, allowed):
-            return True
-    return False
+# Loops nested in one generated function; CPython refuses more than 20
+# nested blocks, so a deeper search goes on in a helper function.
+_NEST = 16
+
+
+def _extend(plans: Sequence[PinPlan], free: bool = False):
+    """Compile `plans` into one search function that tries them in order.
+
+    A pinned search, search(rows, u, v), puts positions 0 and 1 of every
+    plan on u and v.  A free search, search(rows, allowed), runs its one
+    plan's position 0 over the host and keeps every position's vertex in
+    allowed[order[pos]].  Either returns the image of the first copy
+    found (pattern vertex -> host vertex), or None.
+
+    The search is depth first: each position takes, lowest first, the
+    unused host vertices adjacent to the images of its preds and above
+    the image of its twin, as nested `while` loops over candidate masks,
+    and the last position returns at its lowest candidate.  A vertex's
+    row is read once, when a later position needs it.  The source is
+    built from the plans' integers only.
+    """
+    start = 0 if free else 2
+    lead = "rows, al" if free else "rows"
+    reads = [{p for ps in plan.preds[start:] for p in ps} for plan in plans]
+    if free:
+        code = ["def search(rows, al):", "    f0 = (1 << len(rows)) - 1"]
+    else:
+        code = ["def search(rows, u, v):", "    a0, a1 = u, v"]
+        code += [f"    r{i} = rows[a{i}]" for i in (0, 1) if any(i in r for r in reads)]
+        code.append("    f2 = ((1 << len(rows)) - 1) & ~(1 << u | 1 << v)")
+    helpers: list[list[str]] = []
+
+    for k, (plan, read) in enumerate(zip(plans, reads)):
+        h = len(plan.order)
+        at = {pv: i for i, pv in enumerate(plan.order)}
+        image = "(" + "".join(f"a{at[pv]}, " for pv in range(h)) + ")"
+
+        def place(out: list[str], pos: int, ind: int, loops: int) -> None:
+            pad = "    " * ind
+            if pos == h:  # every position is pinned
+                out.append(f"{pad}return {image}")
+                return
+            if loops == _NEST:
+                args = ", ".join([lead, f"f{pos}"] + [f"a{i}" for i in range(pos)])
+                out += [f"{pad}x = _s{k}_{pos}({args})",
+                        f"{pad}if x is not None:",
+                        f"{pad}    return x"]
+                body = [f"def _s{k}_{pos}({args}):"]
+                body += [f"    r{i} = rows[a{i}]" for i in sorted(read) if i < pos]
+                place(body, pos, 1, 0)
+                helpers.append(body + ["    return None"])
+                return
+            terms = [f"f{pos}"] + [f"r{p}" for p in plan.preds[pos]]
+            if free:
+                terms.append(f"al[{plan.order[pos]}]")
+            if plan.twins[pos] >= 0:
+                terms.append(f"(-2 << a{plan.twins[pos]})")
+            out.append(f"{pad}m{pos} = {' & '.join(terms)}")
+            if pos == h - 1:
+                out += [f"{pad}if m{pos}:",
+                        f"{pad}    a{pos} = (m{pos} & -m{pos}).bit_length() - 1",
+                        f"{pad}    return {image}"]
+                return
+            out += [f"{pad}while m{pos}:",
+                    f"{pad}    b = m{pos} & -m{pos}",
+                    f"{pad}    m{pos} ^= b",
+                    f"{pad}    a{pos} = b.bit_length() - 1"]
+            if pos in read:
+                out.append(f"{pad}    r{pos} = rows[a{pos}]")
+            out.append(f"{pad}    f{pos + 1} = f{pos} ^ b")
+            place(out, pos + 1, ind + 1, loops + 1)
+
+        place(code, start, 1, 0)
+    code.append("    return None")
+    source = "\n".join(line for body in [code, *helpers] for line in body) + "\n"
+    namespace = {"__builtins__": {"len": len}}
+    exec(compile(source, "<nimlab matcher>", "exec"), namespace)
+    return namespace["search"]
 
 
 def _copy_through(rows: list[int], pattern: BipartitePattern, u: int, v: int,
@@ -170,18 +229,8 @@ def _copy_through(rows: list[int], pattern: BipartitePattern, u: int, v: int,
     Returns True/False, or the vertex image (pattern vertex -> host vertex)
     when want_map is set.
     """
-    h = pattern.h
-    for plan in pattern.pin_plans:
-        assign = [0] * h
-        assign[0], assign[1] = u, v
-        if _extend(rows, plan, assign, (1 << u) | (1 << v), 2, None):
-            if not want_map:
-                return True
-            image = [0] * h
-            for i, pv in enumerate(plan.order):
-                image[pv] = assign[i]
-            return tuple(image)
-    return None if want_map else False
+    image = pattern.pin_search(rows, u, v)
+    return image if want_map else image is not None
 
 
 def contains_copy(g: SimpleGraph, pattern: BipartitePattern,
@@ -194,15 +243,9 @@ def contains_copy(g: SimpleGraph, pattern: BipartitePattern,
     """
     if pattern.h > g.n:
         return False
-    plan = pattern.free_plan
-    root = plan.order[0]
-    rootmask = (1 << g.n) - 1 if allowed is None else allowed[root]
-    for r in bits_to_list(rootmask):
-        assign = [0] * pattern.h
-        assign[0] = r
-        if _extend(g.adj, plan, assign, 1 << r, 1, allowed):
-            return True
-    return False
+    if allowed is None:
+        allowed = (-1,) * pattern.h
+    return pattern.free_search(g.adj, allowed) is not None
 
 
 def mono_copy_exists(coloring: EdgeColoring, pattern: BipartitePattern,
@@ -281,7 +324,7 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
     does not stop returns what it returns without a floor.
     """
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
-    pedges = list(pattern.graph.edges())
+    pedges = pattern.edges
     nim = []
     unsettled = None  # with a floor, the edges that may still be NIM
     if need is not None and need > 0:
@@ -298,13 +341,12 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
         else:
             for a, b in pedges:
                 x, y = img[a], img[b]
-                witness[(x, y) if x < y else (y, x)] = img
-            if unsettled is not None:
-                for a, b in pedges:
-                    x, y = img[a], img[b]
-                    unsettled.discard((x, y) if x < y else (y, x))
-                if len(unsettled) < need:
-                    return None
+                e = (x, y) if x < y else (y, x)
+                witness[e] = img
+                if unsettled is not None:
+                    unsettled.discard(e)
+            if unsettled is not None and len(unsettled) < need:
+                return None
     return nim, witness
 
 
@@ -336,7 +378,7 @@ def enumerate_mono_copies(coloring: EdgeColoring, pattern: BipartitePattern,
     """
     n = coloring.n
     h = pattern.h
-    pedges = list(pattern.graph.edges())
+    pedges = pattern.edges
     out: list[tuple[int, tuple[int, ...]]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     cs = range(1, coloring.k + 1) if color is None else (color,)

@@ -175,7 +175,7 @@ class BipartitePattern:
         seen: set[tuple[int, int]] = set()
         reps = []
         darts = []
-        for u, v in self.graph.edges():
+        for u, v in self.edges:
             darts.append((u, v))
             darts.append((v, u))
         for dart in darts:
@@ -201,6 +201,23 @@ class BipartitePattern:
     def free_plan(self) -> PinPlan:
         root = max(range(self.graph.n), key=lambda v: (self.graph.degree(v), -v))
         return _plan(self.graph, (root,), self.X)
+
+    @cached_property
+    def pin_search(self):
+        """`pin_plans` compiled into search(rows, u, v) (see `monoscan._extend`)."""
+        from .monoscan import _extend
+        return _extend(self.pin_plans)
+
+    @cached_property
+    def free_search(self):
+        """`free_plan` compiled into search(rows, allowed)."""
+        from .monoscan import _extend
+        return _extend((self.free_plan,), free=True)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The pattern's edges (u, v), u < v, in `graph.edges()` order."""
+        return tuple(self.graph.edges())
 
     def __repr__(self):
         return f"BipartitePattern({self.name}, h={self.h}, m={self.num_edges})"

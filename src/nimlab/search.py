@@ -200,8 +200,9 @@ def _optima(pattern: BipartitePattern, groups):
     `groups` yields pairs (g, splits): color 1 of each coloring is g, and
     each split is the pair of its other classes.  g is scanned once for
     all its splits, and its count starts every split's score.  The other
-    classes are scanned in turn with the floor `need` = best - score so
-    far - edges of the classes still unscanned, so a coloring is dropped
+    classes are scanned in turn, largest first, with the floor `need` =
+    best - score so far - edges of the classes still unscanned, so a
+    coloring is dropped
     unfinished once even all its unsettled edges being NIM would leave it
     below the best score so far.  So a coloring is finished only when it
     ties or beats the best, and the drop is strict, so every coloring
@@ -215,7 +216,7 @@ def _optima(pattern: BipartitePattern, groups):
             nodes += 1
             score = base
             left = sum(h.num_edges for h in rest)
-            for h in rest:
+            for h in sorted(rest, key=lambda c: -c.num_edges):
                 left -= h.num_edges
                 scan = _nim_scan(h.adj, pattern, h.edges(), best - score - left)
                 if scan is None:
@@ -245,10 +246,10 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
     by degree alone, so masks that cannot give z top degree are dropped.
 
     A child is scanned only on its parent's NIM pairs and the pairs at the
-    new vertex z, since no other pair can be NIM.  A leaf that beats the
-    target raises it and the floors, so the optima are the leaves that
-    reach the final best, one kept per class.  Returns the value, the
-    optima and the number of children scanned.
+    new vertex z, since no other pair can be NIM, color 2 first.  A leaf
+    that beats the target raises it and the floors, so the optima are the
+    leaves that reach the final best, one kept per class.  Returns the
+    value, the optima and the number of children scanned.
     """
     best = ex_exact(n, pattern).value
     floors = _floors(n, best)
@@ -277,13 +278,14 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
             at_z = child.adj[z]
             ones = one + [(u, z) for u in range(z) if at_z >> u & 1]
             twos = two + [(u, z) for u in range(z) if not at_z >> u & 1]
-            scan = _nim_scan(child.adj, pattern, ones, floors[v] - len(twos))
-            if scan is None:
+            # color 2, the larger class, fails its floor sooner
+            scan2 = _nim_scan(child.complement().adj, pattern, twos, floors[v] - len(ones))
+            if scan2 is None:
                 return False
-            rest = _nim_scan(child.complement().adj, pattern, twos, floors[v] - len(scan[0]))
-            if rest is None:
+            scan1 = _nim_scan(child.adj, pattern, ones, floors[v] - len(scan2[0]))
+            if scan1 is None:
                 return False
-            found = (scan[0], rest[0])
+            found = (scan1[0], scan2[0])
             return True
 
         all_nim = floors[v] == comb(v, 2)
@@ -407,7 +409,7 @@ class _ClassScan:
     def __init__(self, g: SimpleGraph, pattern: BipartitePattern):
         self.pattern = pattern
         self.nim, witness = _graph_nim(g, pattern)
-        pedges = list(pattern.graph.edges())
+        pedges = self.pattern.edges
         users: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for f, img in witness.items():
             for a, b in pedges:

@@ -45,6 +45,72 @@ def oracle_is_free(g, pattern: BipartitePattern) -> bool:
     return True
 
 
+def reference_extend(rows, plan, assign, used, pos, allowed, placed=None) -> bool:
+    """The matcher's depth-first search as a recursive interpreter, one
+    plan position per call: the reference for the compiled searches of
+    `monoscan._extend`.  `placed`, if given, counts the vertices placed
+    at each position."""
+    order, preds = plan.order, plan.preds
+    if pos == len(order):
+        return True
+    full = (1 << len(rows)) - 1
+    m = full & ~used
+    for p in preds[pos]:
+        m &= rows[assign[p]]
+    if allowed is not None:
+        m &= allowed[order[pos]]
+    twin = plan.twins[pos]
+    if twin >= 0:
+        m &= -2 << assign[twin]
+    while m:
+        w = (m & -m).bit_length() - 1
+        m &= m - 1
+        assign[pos] = w
+        if placed is not None:
+            placed[pos] += 1
+        if reference_extend(rows, plan, assign, used | (1 << w), pos + 1, allowed, placed):
+            return True
+    return False
+
+
+def _image(plan, assign) -> tuple[int, ...]:
+    image = [0] * len(assign)
+    for i, pv in enumerate(plan.order):
+        image[pv] = assign[i]
+    return tuple(image)
+
+
+def reference_copy_through(rows, pattern: BipartitePattern, u: int, v: int, placed=None):
+    """The image of the first copy through edge (u, v) that the reference
+    search finds, plan by plan, or None.  `placed`, if given, holds one
+    per-position count list per plan."""
+    for k, plan in enumerate(pattern.pin_plans):
+        assign = [0] * pattern.h
+        assign[0], assign[1] = u, v
+        if reference_extend(rows, plan, assign, (1 << u) | (1 << v), 2, None,
+                            None if placed is None else placed[k]):
+            return _image(plan, assign)
+    return None
+
+
+def reference_contains_copy(g, pattern: BipartitePattern, allowed=None, placed=None):
+    """The image of the first copy in g that the reference search finds
+    from the free plan, root vertex by root vertex, or None."""
+    if pattern.h > g.n:
+        return None
+    plan = pattern.free_plan
+    rootmask = (1 << g.n) - 1 if allowed is None else allowed[plan.order[0]]
+    for r in range(g.n):
+        if rootmask >> r & 1:
+            if placed is not None:
+                placed[0] += 1
+            assign = [0] * pattern.h
+            assign[0] = r
+            if reference_extend(g.adj, plan, assign, 1 << r, 1, allowed, placed):
+                return _image(plan, assign)
+    return None
+
+
 def oracle_coloring_key(coloring: EdgeColoring) -> tuple[int, ...]:
     """Smallest color vector over all n! vertex relabelings, colors renamed
     in first-use order; equal keys mean equal up to relabeling and renaming."""

@@ -258,7 +258,15 @@ def test_two_color_scans_only_pairs_that_can_be_nim(c4, monkeypatch):
     # new vertex, under its floor
     calls = _counted(monkeypatch, monoscan, "_copy_through")
     assert f_exact(8, c4, 2).value == 11
-    assert calls[0] == 8381
+    assert calls[0] == 7745
+
+
+def test_three_color_scans_the_larger_class_first(c4, monkeypatch):
+    # each split's classes are scanned largest first under the floor of
+    # the best score so far
+    calls = _counted(monkeypatch, monoscan, "_copy_through")
+    assert f_exact(6, c4, 3).value == 15
+    assert calls[0] == 25925
 
 
 def test_two_color_runs_the_canonical_test_only_on_ties(c4, monkeypatch):
