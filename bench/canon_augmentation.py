@@ -30,10 +30,13 @@ list optima in another order; the keys are computed inside the timed
 run, alike on both sides.  The result goes to FILE, by default
 `bench/BENCH_canon_augmentation.json`.
 
-`enumerate_graphs(8, m <= 14)` is the sweep behind `f_exact(8, c4, 2)`:
-every class on 8 vertices with at most 14 edges, capped by a predicate.
-`search._smallest_classes(8, 2)` is the same sweep as each side's search
-runs it.
+`enumerate_graphs(8, m <= 14)` is every class on 8 vertices with at most
+14 edges, capped by a predicate, and `enumerate_graphs(8, max_edges=14)`
+is the same sweep with the cap passed as `max_edges`, so that children
+over it are never built.  Neither is the sweep of `f_exact(8, c4, 2)`,
+whose descent keeps only colorings with enough NIM pairs.  The committed
+results name the second case `search._smallest_classes(8, 2)`, the
+helper it ran through when they were measured.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 OUT = os.path.join(HERE, "BENCH_canon_augmentation.json")
 REPEAT = 5
 
-CASES = ("enumerate_graphs(8)", "enumerate_graphs(8, m <= 14)", "search._smallest_classes(8, 2)",
+CASES = ("enumerate_graphs(8)", "enumerate_graphs(8, m <= 14)", "enumerate_graphs(8, max_edges=14)",
          "f_exact(8, c4, 2)", "f_exact(8, c6, 2)", "f_exact(8, k2,3, 2)", "f_exact(9, c4, 2)",
          "f_exact(5, c4, 3)", "_enum_ex(8, c6)")
 SINGLE = ("f_exact(9, c4, 2)",)  # cases run once per side, too slow to repeat
@@ -75,7 +78,7 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
     from nimlab.canon import enumerate_graphs
     from nimlab.patterns import build_pattern
     from f_descent import coloring_key
-    from nimlab.search import _smallest_classes, f_exact
+    from nimlab.search import f_exact
     from nimlab.turan import _enum_ex
 
     if case == "enumerate_graphs(8)":
@@ -83,8 +86,9 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
     if case == "enumerate_graphs(8, m <= 14)":
         capped = enumerate_graphs(8, predicate=lambda child, z: child.num_edges <= 14)
         return json.dumps([[g.n, list(g.adj)] for g in capped]), None
-    if case == "search._smallest_classes(8, 2)":
-        return json.dumps([[g.n, list(g.adj)] for g in _smallest_classes(8, 2)]), None
+    if case == "enumerate_graphs(8, max_edges=14)":
+        capped = enumerate_graphs(8, ceiling=8, max_edges=lambda v: 14)
+        return json.dumps([[g.n, list(g.adj)] for g in capped]), None
     if case in TWO_COLOR:
         n, name = TWO_COLOR[case]
         rep = f_exact(n, build_pattern(name), 2)
@@ -102,8 +106,9 @@ def _run_case(case: str) -> tuple[str, Optional[int]]:
 
 def _install_counters():
     """Install the benchmark tracer and count `add_vertex` calls beside it,
-    and `_copy_through` calls made inside an enumeration predicate on a
-    child of fewer than n vertices."""
+    and `_copy_through` calls made inside the test that the exact search
+    passes to `canon._children` on a child of fewer than n vertices (one
+    not on the last level)."""
     from nimlab import graphs, monoscan, search
 
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -123,27 +128,23 @@ def _install_counters():
     in_predicate = [False]
     predicate_calls = [0]
     copy_through = monoscan._copy_through
-    smallest_classes = search._smallest_classes
+    children = search._children
 
     def counting_copy_through(*args, **kwargs):
         predicate_calls[0] += in_predicate[0]
         return copy_through(*args, **kwargs)
 
-    def flagged(predicate, n):
+    def watched_children(parent, generators, test, room, final, *rest):
         def run(child, z):
-            in_predicate[0] = child.n < n
+            in_predicate[0] = not final
             try:
-                return predicate(child, z)
+                return test(child, z)
             finally:
                 in_predicate[0] = False
-        return run
-
-    def watched_classes(n, k, predicate=None, **kwargs):
-        return smallest_classes(n, k, None if predicate is None else flagged(predicate, n),
-                                **kwargs)
+        return children(parent, generators, run, room, final, *rest)
 
     monoscan._copy_through = counting_copy_through
-    search._smallest_classes = watched_classes
+    search._children = watched_children
     return lambda: {
         "add_vertex": added[0],
         **{name: tracer.layer(f"canon.{name}")["calls"] for name in COUNTED[1:]},

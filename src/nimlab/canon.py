@@ -32,8 +32,8 @@ where nothing reads it:
   vertex lies in that cell, and the child's generators are never read.
   When z has strictly the top degree it is alone there, and the child is
   kept without refining it.
-- The caller's predicate runs before the canonical test, so the test
-  runs only on the children the predicate keeps.
+- The caller's `keep` test runs before the canonical test, so the test
+  runs only on the children it keeps.
 
 The output does not depend on these shortcuts: the same labeled graphs
 come out in the same order as from trying every mask.
@@ -41,7 +41,7 @@ come out in the same order as from trying every mask.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import SimpleGraph
@@ -399,12 +399,11 @@ def _accept(child: SimpleGraph, strict_top: bool, final: bool, cells=None):
 def _children(
     parent: SimpleGraph,
     generators: tuple[tuple[int, ...], ...],
-    predicate: Optional[Callable[[SimpleGraph, int], bool]],
+    keep: Callable[[SimpleGraph, int], Optional[tuple[Optional[list[list[int]]], Any]]],
     room: int,
     final: bool,
-    rank: Optional[Callable[[SimpleGraph], list[list[int]]]] = None,
     top: bool = True,
-) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...]]]:
+) -> Iterator[tuple[SimpleGraph, tuple[tuple[int, ...], ...], Any]]:
     """Accepted children of `parent` with their automorphism generators.
 
     `generators` generate the parent's automorphism group.  Only the
@@ -426,12 +425,12 @@ def _children(
     unchanged by automorphisms, so a dropped mask takes its whole orbit
     with it.
 
-    The predicate runs on each child built, and the canonical test
-    (`_accept`) only on the children it keeps, and a child is yielded
-    before the next is built.  `rank(child)`, when given, is the `cells`
-    of that test in place of top degree; `top` is then set only when the
-    largest key implies top degree.  With `final` set the children are
-    leaves of the enumeration and come with no generators.
+    `keep(child, z)` runs on each child built and returns None to drop
+    it, or (cells, state): the canonical test (`_accept`) runs on the kept
+    child from `cells` in place of top degree unless they are None, and
+    `state`, the caller's own, is yielded with it.  `top` is set only when
+    the largest key of `cells` implies top degree.  With `final` set the
+    children are leaves of the enumeration and come with no generators.
     """
     v = parent.n
     degrees = [row.bit_count() for row in parent.adj]
@@ -445,13 +444,13 @@ def _children(
     ]
     for mask in _orbit_minima(generators, v, masks):
         child = parent.add_vertex(mask)
-        if predicate is not None and not predicate(child, v):
+        if (kept := keep(child, v)) is None:
             continue
-        cells = None if rank is None else rank(child)
+        cells, state = kept
         strict_top = cells is None and final and mask.bit_count() > top_degree + bool(mask & tops)
         gens = _accept(child, strict_top, final, cells)
         if gens is not None:
-            yield child, gens
+            yield child, gens, state
 
 
 def enumerate_graphs(
@@ -475,10 +474,10 @@ def enumerate_graphs(
     max_edges(v + 1) - e members, so children over the cap are never
     built.  Like the predicate below, the cap must hold on every graph
     that the kept ones reach by deleting canonical-last vertices: a
-    constant cap does, as `search._smallest_classes` passes, and so does
-    a cap on complements from an edge floor that deleting a vertex of
-    minimum degree keeps.  (`turan._enum_ex` applies such caps through
-    `_children` itself, so that its levels can share layers.)
+    constant cap does, and so does a cap on complements from an edge
+    floor that deleting a vertex of minimum degree keeps.
+    (`turan._enum_ex` applies such caps through `_children` itself, so
+    that its levels can share layers.)
 
     `predicate(child, z)` prunes a just-augmented child (z is the new
     vertex); it must reject a graph only if no graph to be kept reaches it
@@ -486,9 +485,9 @@ def enumerate_graphs(
     filters such as pattern-freeness qualify), and it must judge two
     children alike when an isomorphism between them fixes z.  A predicate
     that reads vertex labels breaks the second rule and can lose classes.
-    A predicate may tighten over a run, as a branch and bound's does when
-    its best score grows, if it only ever rejects graphs whose
-    descendants cannot be kept.
+    A predicate may tighten over a run, as the floors of the two-color
+    search rise when a leaf beats ex(n, H), if it only ever rejects graphs
+    whose descendants cannot be kept.
 
     The predicate sees every labeled child built, before its canonical
     test, so a child it rejects costs no canonical form.
@@ -503,12 +502,15 @@ def enumerate_graphs(
         yield SimpleGraph.empty(0)
         return
 
+    def keep(child: SimpleGraph, z: int):
+        return (None, None) if predicate is None or predicate(child, z) else None
+
     def rec(g: SimpleGraph, gens) -> Iterator[SimpleGraph]:
         if g.n == n:
             yield g
             return
         room = g.n if max_edges is None else max_edges(g.n + 1) - g.num_edges
-        for child, child_gens in _children(g, gens, predicate, room, g.n + 1 == n):
+        for child, child_gens, _ in _children(g, gens, keep, room, g.n + 1 == n):
             yield from rec(child, child_gens)
 
     yield from rec(SimpleGraph.empty(1), ())

@@ -39,15 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_pattern(spec: str) -> BipartitePattern:
-    """Accept either a pattern expression or a path to a file holding one."""
-    if os.path.exists(spec):
+    """Accept either a pattern expression or a path to a file holding one;
+    a name that is not a regular file is read as an expression."""
+    if os.path.isfile(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             spec = fh.read().strip()
     return parse_pattern(spec)
 
 
 def _load_coloring(path: str) -> EdgeColoring:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise InvalidInputError("no-such-file", path)
     return EdgeColoring.read(path)
 

@@ -82,7 +82,11 @@ class EdgeColoring:
     @classmethod
     def read(cls, path) -> "EdgeColoring":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.parse(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise InvalidInputError("invalid-coloring", f"{path}: not ASCII text") from exc
+        return cls.parse(text)
 
     def to_text(self) -> str:
         return f"{self.n} {self.k}\n" + " ".join(map(str, self.colors)) + "\n"

@@ -314,10 +314,11 @@ def _parse_edge(item, n: int) -> tuple[int, int]:
         if len(txt) == 2 and txt.isdigit():
             return int(txt[0]), int(txt[1])
         raise InvalidInputError("invalid-pattern", f"bad edge {item!r}")
-    pair = list(item)
-    if len(pair) != 2:
-        raise InvalidInputError("invalid-pattern", f"bad edge {item!r}")
-    return int(pair[0]), int(pair[1])
+    try:
+        u, v = (int(x) for x in item)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("invalid-pattern", f"bad edge {item!r}") from exc
+    return u, v
 
 
 def parse_pattern(source) -> BipartitePattern:
@@ -354,9 +355,9 @@ def _parse_text(source: str) -> BipartitePattern:
 def _parse_descriptor(doc) -> BipartitePattern:
     try:
         n = int(doc["n"])
-        raw_edges = doc["edges"]
+        raw_edges = list(doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError("invalid-pattern", "descriptor needs n and edges") from exc
+        raise InvalidInputError("invalid-pattern", "descriptor needs n and a list of edges") from exc
     if n < 2:
         raise InvalidInputError("invalid-pattern", "need at least two vertices")
     edges = [_parse_edge(e, n) for e in raw_edges]
@@ -365,10 +366,13 @@ def _parse_descriptor(doc) -> BipartitePattern:
     graph = SimpleGraph.from_edges(n, edges)
 
     if "X" in doc or "Y" in doc:
-        X = tuple(int(v) for v in doc.get("X", ()))
-        Y = tuple(int(v) for v in doc.get("Y", ()))
-        weak = doc.get("weak")
-        weak = None if weak is None else int(weak)
+        try:
+            X = tuple(int(v) for v in doc.get("X", ()))
+            Y = tuple(int(v) for v in doc.get("Y", ()))
+            weak = doc.get("weak")
+            weak = None if weak is None else int(weak)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError("invalid-pattern", "X and Y need vertex lists, weak a vertex") from exc
         return BipartitePattern(doc.get("name", f"custom{n}"), graph, X, Y, weak, True)
     return BipartitePattern(doc.get("name", f"custom{n}"), graph, (), (), None, False)
 

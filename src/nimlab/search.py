@@ -3,16 +3,17 @@ monochromatic pattern copies, over all k-colorings of K_n.
 
 The exact search is exhaustive and only feasible for tiny instances.
 It names the colors so that class sizes do not decrease and takes color
-1 from an isomorph-free enumeration of graphs with at most m/k edges.
-For two colors color 2 is the rest, and the enumeration is a descent
-from K_1 that keeps a coloring of K_v only while it has enough NIM pairs
-for some extension to reach ex(n, H): the vertex-averaging floors of the
-Turán search, applied to NIM counts.  For three colors the remaining
-edges are split between colors 2 and 3 once per orbit of color 1's
-automorphism group, and a split is finished only while it can still
-reach the best score so far.  The heuristic is steepest-ascent
-single-edge recoloring restarted from the explicit constructions and
-then from random colorings.
+1 from a descent by canonical augmentation from K_1 (`canon._children`)
+over graphs with at most m/k edges, one per isomorphism class.  For two
+colors color 2 is the rest, and the descent keeps a coloring of K_v
+only while it has enough NIM pairs for some extension to reach
+ex(n, H): the vertex-averaging floors of the Turán search, applied to
+NIM counts.  For three colors the remaining edges are split between
+colors 2 and 3 once per orbit of color 1's automorphism group, whose
+generators come with color 1 from the descent, and a split is finished
+only while it can still reach the best score so far.  The heuristic is
+steepest-ascent single-edge recoloring restarted from the explicit
+constructions and then from random colorings.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Optional
 
-from .canon import (
-    CanonicalCode,
-    _children,
-    _orbit_minima,
-    canonical_code,
-    canonical_form,
-    enumerate_graphs,
-)
+from .canon import CanonicalCode, _children, _orbit_minima, canonical_code
 from .errors import InvalidInputError, RefusalError, ResourceLimitError
 from .graphs import SimpleGraph, edge_index, edge_pairs
 from .monoscan import EdgeColoring, _graph_nim, _nim_scan
@@ -145,18 +139,6 @@ def _coloring_key(coloring: EdgeColoring) -> CanonicalCode:
         *(permutations(ties[s]) if s else [ties[s]] for s in sorted(ties))))
 
 
-def _smallest_classes(n: int, k: int):
-    """One graph per isomorphism class with at most m // k edges.
-
-    Every k-coloring class has a member whose class sizes do not decrease
-    with the color and whose color 1 is one of these graphs.  The cap
-    holds on every graph on the way to a capped one, so it is passed to
-    the enumeration as `max_edges`, and children over it are never built.
-    """
-    cap = n * (n - 1) // 2 // k
-    return enumerate_graphs(n, ceiling=n, max_edges=lambda v: cap)
-
-
 def _coloring(classes: tuple[SimpleGraph, ...]) -> EdgeColoring:
     """The coloring whose color c is the edge set of classes[c - 1]."""
     n = classes[0].n
@@ -193,42 +175,6 @@ def _distinct(ties: list[tuple[SimpleGraph, ...]]) -> list[EdgeColoring]:
     return optima
 
 
-def _optima(pattern: BipartitePattern, groups):
-    """Best score over the three-colorings in `groups`, one coloring per
-    optimal class, and the number of colorings scored, finished or not.
-
-    `groups` yields pairs (g, splits): color 1 of each coloring is g, and
-    each split is the pair of its other classes.  g is scanned once for
-    all its splits, and its count starts every split's score.  The other
-    classes are scanned in turn, largest first, with the floor `need` =
-    best - score so far - edges of the classes still unscanned, so a
-    coloring is dropped
-    unfinished once even all its unsettled edges being NIM would leave it
-    below the best score so far.  So a coloring is finished only when it
-    ties or beats the best, and the drop is strict, so every coloring
-    that ties the final best is finished.  Ties are held as tuples of
-    class graphs; only the distinct ones become `EdgeColoring`s.
-    """
-    best, ties, nodes = -1, [], 0
-    for g, splits in groups:
-        base = len(_graph_nim(g, pattern)[0])
-        for rest in splits:
-            nodes += 1
-            score = base
-            left = sum(h.num_edges for h in rest)
-            for h in sorted(rest, key=lambda c: -c.num_edges):
-                left -= h.num_edges
-                scan = _nim_scan(h.adj, pattern, h.edges(), best - score - left)
-                if scan is None:
-                    break
-                score += len(scan[0])
-            else:
-                if score > best:
-                    best, ties = score, []
-                ties.append((g, *rest))
-    return best, _distinct(ties), nodes
-
-
 def _exact_two_color(n: int, pattern: BipartitePattern):
     """Every 2-coloring of K_n with at least s = ex(n, H) NIM pairs, by
     the averaging-floored descent that `turan._enum_ex` runs on edges.
@@ -246,21 +192,16 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
     by degree alone, so masks that cannot give z top degree are dropped.
 
     A child is scanned only on its parent's NIM pairs and the pairs at the
-    new vertex z, since no other pair can be NIM, color 2 first.  A leaf
-    that beats the target raises it and the floors, so the optima are the
-    leaves that reach the final best, one kept per class.  Returns the
-    value, the optima and the number of children scanned.
+    new vertex z, since no other pair can be NIM, color 2 first; a kept
+    child carries its NIM pairs down as its state.  A leaf that beats the
+    target raises it and the floors, so the optima are the leaves that
+    reach the final best, one kept per class.  Returns the value, the
+    optima and the number of children scanned.
     """
     best = ex_exact(n, pattern).value
     floors = _floors(n, best)
     cap = n * (n - 1) // 4  # color 1 is the smaller class
     leaves, nodes = [], 0
-    found = None  # the NIM pairs of each color of the child just kept
-
-    def rank(child: SimpleGraph) -> list[list[int]]:
-        nim = Counter(chain(*found[0], *found[1]))
-        key = [(-nim[u], child.adj[u].bit_count()) for u in range(child.n)]
-        return [[u for u in range(child.n) if key[u] == k] for k in sorted(set(key))]
 
     def descend(g: SimpleGraph, gens, one: list, two: list) -> None:
         nonlocal best, floors, leaves
@@ -272,8 +213,8 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
             return
         v = g.n + 1
 
-        def hopeful(child: SimpleGraph, z: int) -> bool:
-            nonlocal nodes, found
+        def hopeful(child: SimpleGraph, z: int):
+            nonlocal nodes
             nodes += 1
             at_z = child.adj[z]
             ones = one + [(u, z) for u in range(z) if at_z >> u & 1]
@@ -281,16 +222,18 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
             # color 2, the larger class, fails its floor sooner
             scan2 = _nim_scan(child.complement().adj, pattern, twos, floors[v] - len(ones))
             if scan2 is None:
-                return False
+                return None
             scan1 = _nim_scan(child.adj, pattern, ones, floors[v] - len(scan2[0]))
             if scan1 is None:
-                return False
-            found = (scan1[0], scan2[0])
-            return True
+                return None
+            nim = Counter(chain(*scan1[0], *scan2[0]))
+            key = [(-nim[u], child.adj[u].bit_count()) for u in range(v)]
+            cells = [[u for u in range(v) if key[u] == k] for k in sorted(set(key))]
+            return cells, (scan1[0], scan2[0])
 
         all_nim = floors[v] == comb(v, 2)
-        for child, child_gens in _children(g, gens, hopeful, cap - g.num_edges,
-                                           v == n, rank, all_nim):
+        for child, child_gens, found in _children(g, gens, hopeful, cap - g.num_edges,
+                                                  v == n, all_nim):
             descend(child, child_gens, *found)
 
     descend(SimpleGraph.empty(1), (), [], [])
@@ -300,30 +243,49 @@ def _exact_two_color(n: int, pattern: BipartitePattern):
 
 
 def _exact_three_color(n: int, pattern: BipartitePattern):
-    """Split the rest of each smallest class g into colors 2 and 3, color 2
+    """Split the rest of each color-1 graph g into colors 2 and 3, color 2
     no smaller than g and no larger than color 3.
 
-    An automorphism of g carries a split to an isomorphic coloring, so
-    only one split of each orbit of Aut(g) is scored, the first in
-    `combinations` order.  A split is a mask over the rest of g in edge
-    order, and the generators of Aut(g) act on it as permutations of
-    those edges.  The masks are generated lazily, so memory grows with
-    the number of orbits, not of splits.
+    g has at most m/3 edges and comes from canonical augmentation from K_1
+    (`canon._children`) with the generators of Aut(g).  An automorphism of
+    g carries a split to an isomorphic coloring, so only one split of each
+    orbit of Aut(g) is scored, the first in `combinations` order: a mask
+    over the rest of g in edge order, on which the generators act as
+    permutations of those edges.  The masks are generated lazily, so
+    memory grows with the number of orbits, not of splits.
+
+    g is scanned once for all its splits.  Then the larger of colors 2 and
+    3 is scanned first, with the floor best - score so far - edges still
+    unscanned, so a split is dropped unfinished once it cannot reach the
+    best score so far; the drop is strict, so every tie is finished.
+    Returns the value, the optima and the number of splits scored.
     """
-    def splits(g: SimpleGraph):
+    cap = n * (n - 1) // 2 // 3
+    best, ties, nodes = -1, [], 0
+
+    def keep(child: SimpleGraph, z: int):
+        return None, None
+
+    def descend(g: SimpleGraph, gens) -> None:
+        nonlocal best, ties, nodes
+        if g.n < n:
+            for child, child_gens, _ in _children(g, gens, keep, cap - g.num_edges, False):
+                descend(child, child_gens)
+            return
         rest_graph = g.complement()
         rest = list(rest_graph.edges())
         index = {e: i for i, e in enumerate(rest)}
         generators = [
             tuple(index[(a, b) if a < b else (b, a)]
                   for a, b in ((gamma[u], gamma[v]) for u, v in rest))
-            for gamma in canonical_form(g).generators
+            for gamma in gens
         ]
         masks = (
             sum(1 << i for i in sub)
             for size in range(g.num_edges, len(rest) // 2 + 1)
             for sub in combinations(range(len(rest)), size)
         )
+        base = len(_graph_nim(g, pattern)[0])
         for mask in _orbit_minima(generators, len(rest), masks):
             rows = [0] * n
             for i, (u, v) in enumerate(rest):
@@ -332,9 +294,21 @@ def _exact_three_color(n: int, pattern: BipartitePattern):
                     rows[v] |= 1 << u
             two = SimpleGraph(n, tuple(rows))
             three = SimpleGraph(n, tuple(a ^ b for a, b in zip(rest_graph.adj, rows)))
-            yield two, three
+            nodes += 1
+            score, left = base, len(rest)
+            for h in sorted((two, three), key=lambda c: -c.num_edges):
+                left -= h.num_edges
+                scan = _nim_scan(h.adj, pattern, h.edges(), best - score - left)
+                if scan is None:
+                    break
+                score += len(scan[0])
+            else:
+                if score > best:
+                    best, ties = score, []
+                ties.append((g, two, three))
 
-    return _optima(pattern, ((g, splits(g)) for g in _smallest_classes(n, 3)))
+    descend(SimpleGraph.empty(1), ())
+    return best, _distinct(ties), nodes
 
 
 def _check_search_args(n: int, pattern: BipartitePattern, k: int) -> None:

@@ -197,8 +197,8 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
     """
     free = _pattern_free_predicate(pattern)
 
-    def pred(child: SimpleGraph, z: int) -> bool:
-        return free(child.complement(), z)
+    def keep(child: SimpleGraph, z: int):
+        return (None, None) if free(child.complement(), z) else None
 
     layers = {(): [(SimpleGraph.empty(1), ())]}
 
@@ -206,8 +206,9 @@ def _enum_ex(n: int, pattern: BipartitePattern, fp: str) -> TuranRecord:
         """The complements kept on len(caps) + 1 vertices under `caps`,
         with their automorphism generators."""
         if caps not in layers:
-            layers[caps] = [kid for g, gens in layer(caps[:-1])
-                            for kid in _children(g, gens, pred, caps[-1] - g.num_edges, False)]
+            layers[caps] = [(kid, kid_gens) for g, gens in layer(caps[:-1])
+                            for kid, kid_gens, _ in _children(
+                                g, gens, keep, caps[-1] - g.num_edges, False)]
         return layers[caps]
 
     value, wits = 0, [SimpleGraph.empty(n)]

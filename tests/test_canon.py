@@ -256,10 +256,11 @@ def test_enumerate_yields_distinct_canonical_representatives():
 @pytest.mark.parametrize("key", ["least degree", "triangles"])
 def test_ranked_deletion_gives_every_class_once(key):
     # any isomorphism-invariant vertex key may choose the deleted vertex:
-    # with it as the rank of `_children` and no top-degree mask filter,
-    # the descent from K_1 yields each class once.  Deleting a vertex of
-    # least degree keeps the floors of `_floors`, so with that key the
-    # descent floored from m yields every graph with at least m edges
+    # with it as the cells that `keep` returns to `_children` and no
+    # top-degree mask filter, the descent from K_1 yields each class once.
+    # Deleting a vertex of least degree keeps the floors of `_floors`, so
+    # with that key the descent floored from m yields every graph with at
+    # least m edges
     weight = {
         "least degree": lambda g, u: -g.adj[u].bit_count(),
         "triangles": lambda g, u: sum((g.adj[a] & g.adj[u]).bit_count()
@@ -274,9 +275,11 @@ def test_ranked_deletion_gives_every_class_once(key):
         if g.n == len(floors) - 1:
             yield g
             return
-        for child, child_gens in canon._children(
-                g, gens, lambda child, z: child.num_edges >= floors[child.n],
-                g.n, g.n + 2 == len(floors), rank, False):
+        def keep(child, z):
+            return (rank(child), None) if child.num_edges >= floors[child.n] else None
+
+        for child, child_gens, _ in canon._children(
+                g, gens, keep, g.n, g.n + 2 == len(floors), False):
             yield from descend(child, child_gens, floors)
 
     for n in range(1, 7):

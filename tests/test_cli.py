@@ -198,12 +198,31 @@ def test_reduce_verdicts(capsys):
 # exit codes
 
 
-def test_missing_coloring_file_is_invalid_input(capsys):
-    code, err = run_json(
-        capsys, "nim", "--coloring", "/no/such/file", "--pattern", "c4"
-    )
+def test_missing_coloring_file_is_invalid_input(capsys, tmp_path):
+    # a directory is no coloring file, and a file that is not ASCII text
+    # is no valid coloring
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"3 2\n1 2 \xff\n")
+    cases = [("/no/such/file", "no-such-file"), (str(tmp_path), "no-such-file"),
+             (str(binary), "invalid-coloring")]
+    for path, reason in cases:
+        code, err = run_json(capsys, "nim", "--coloring", path, "--pattern", "c4")
+        assert code == 3, path
+        assert err["error"] == reason, path
+
+
+@pytest.mark.parametrize("descriptor", [
+    '{"n":3,"edges":[["a","b"]]}',
+    '{"n":3,"edges":[null]}',
+    '{"n":3,"edges":5}',
+    '{"n":2,"edges":[[0,1]],"X":[0],"Y":[1],"weak":"a"}',
+    '{"n":3,"edges":[[0,1]],"X":5,"Y":[1]}',
+    '{"n":3,"edges":[[0,1]],"X":["a"],"Y":[1]}',
+])
+def test_malformed_pattern_descriptor_is_invalid_input(capsys, descriptor):
+    code, err = run_json(capsys, "ex", "--n", "4", "--pattern", descriptor)
     assert code == 3
-    assert err["error"] == "no-such-file"
+    assert err["error"] == "invalid-pattern"
 
 
 def test_unknown_pattern_is_invalid_input(capsys):
@@ -338,6 +357,10 @@ def test_pattern_from_file(capsys, tmp_path):
     code, doc = run_json(capsys, "ex", "--n", "6", "--pattern", str(spec))
     assert code == 0
     assert doc["value"] == 7
+    # a directory is read as a pattern expression, and none is named so
+    code, err = run_json(capsys, "ex", "--n", "6", "--pattern", str(tmp_path))
+    assert code == 3
+    assert err["error"] == "unknown-pattern"
 
 
 def test_explicit_cache_flag(capsys, tmp_path, monkeypatch):

@@ -2,12 +2,13 @@ import itertools
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import oracle_coloring_key, oracle_nim_flags
 from test_acceptance import GOLDEN_PATH
-from nimlab import canon
+from nimlab import canon, search
 from nimlab.canon import enumerate_graphs
 from nimlab.errors import InvalidInputError, ResourceLimitError
 from nimlab.graphs import SimpleGraph, edge_index, edge_pairs
@@ -18,7 +19,6 @@ from nimlab.search import (
     EXACT_CEILINGS,
     _class_counts,
     _coloring_key,
-    _smallest_classes,
     f_exact,
     f_heuristic,
     verify_extremal_characterization,
@@ -74,6 +74,13 @@ def test_exact_three_color_matches_brute(k3):
     # k1,2 stays below m = 10 at n = 5, so a lost coloring class can show
     k12 = build_pattern("k1,2")
     assert f_exact(5, k12, 3).value == _brute_f(5, k12, 3) == 4
+
+
+def _smallest_classes(n, k):
+    """One graph per isomorphism class on n vertices with at most m // k
+    edges, from `enumerate_graphs` rather than the searches' descents."""
+    cap = n * (n - 1) // 2 // k
+    return enumerate_graphs(n, ceiling=n, max_edges=lambda v: cap)
 
 
 def _reference_exact_three_color(n, pattern):
@@ -280,13 +287,41 @@ def test_two_color_runs_the_canonical_test_only_on_ties(c4, monkeypatch):
     assert calls[0] == 65
 
 
+def test_three_color_canonical_forms(c4, monkeypatch):
+    # one canonical form per color-1 graph the descent builds and keeps
+    # past its root refinement, and one per tie compared by key
+    calls = _counted(monkeypatch, canon, "canonical_form")
+    assert f_exact(5, c4, 3).value == 10
+    assert calls[0] == 167
+
+
+def test_two_color_raises_when_nothing_reaches_the_start(c4, monkeypatch):
+    # f(8, C4) = ex(8, C4) = 11, so a start of 12 leaves no leaf; the
+    # search must raise rather than report the start as the value
+    true = ex_exact(8, c4)
+    monkeypatch.setattr(search, "ex_exact", lambda n, pattern: replace(true, value=true.value + 1))
+    with pytest.raises(RuntimeError, match="reaches ex"):
+        f_exact(8, c4, 2)
+
+
 @pytest.mark.parametrize("k", [2, 3])
-def test_smallest_classes_are_the_capped_enumeration(k):
+def test_smallest_classes_are_the_capped_enumeration(k, monkeypatch):
+    # the references' color-1 graphs are every class with at most m // k
+    # edges; the three-color descent scans the same graphs in the same
+    # order, once each, before their splits
+    scanned = []
+    graph_nim = search._graph_nim
+    monkeypatch.setattr(search, "_graph_nim",
+                        lambda g, pattern: scanned.append((g.n, g.adj)) or graph_nim(g, pattern))
     for n in range(1, 8):
         cap = n * (n - 1) // 2 // k
         got = [(g.n, g.adj) for g in _smallest_classes(n, k)]
         want = [(g.n, g.adj) for g in enumerate_graphs(n) if g.num_edges <= cap]
         assert got == want, (n, k)
+        if k == 3 and n <= 5:
+            scanned.clear()
+            f_exact(n, build_pattern("c4"), 3)
+            assert scanned == want, n
 
 
 def test_small_hosts_are_all_nim(k3, c4, k23):
