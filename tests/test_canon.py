@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import comb
@@ -148,6 +149,38 @@ def test_code_comparable_and_hashable():
     assert a != b
     assert (a < b) != (b < a)
     assert len({a, b, canonical_code(SimpleGraph.complete_bipartite(2, 2))}) == 2
+
+
+def _digest_corpus():
+    rng = random.Random(2014)
+    graphs = []
+    for n in range(1, 13):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(4):
+                edges = [e for e in edge_pairs(n) if rng.random() < density]
+                graphs.append(SimpleGraph.from_edges(n, edges))
+    graphs += [SimpleGraph.cycle(n) for n in range(3, 13)]
+    graphs += [
+        SimpleGraph.complete_bipartite(s, t)
+        for s in range(1, 7) for t in range(s, 13 - s)
+    ]
+    return graphs
+
+
+def test_canonical_forms_are_pinned():
+    # Codes reach cache fingerprints, witness graph6 and the README
+    # examples, so every labeling, orbit and generator list is pinned:
+    # a rewrite of the search must reproduce them exactly.
+    digest = hashlib.sha256()
+    for g in _digest_corpus():
+        half = g.n // 2
+        for cells in (None, [list(range(half)), list(range(half, g.n))]):
+            res = canonical_form(g, cells)
+            line = (res.code.hex(), res.labeling, res.orbits, res.generators)
+            digest.update(repr(line).encode())
+    assert digest.hexdigest() == (
+        "3819272a24586756199a82115126896d6de020d485537406b7001bd748ff00ee"
+    )
 
 
 def test_enumerate_counts():
