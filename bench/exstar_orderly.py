@@ -21,7 +21,7 @@ not depend on the machine, with wrappers on two names in `nimlab.turan`:
 
 - `contains_copy_calls`: calls to `contains_copy`, one per row placed
 - `labeled_witnesses`: calls to `canonical_form`, one per labeled
-  extremal host kept before deduplication (at most 4,096)
+  extremal host kept before deduplication
 
 Per case the result holds the value, the sha256 of the record's
 `to_json()`, both counts and the median wall time per side.  Where the

@@ -83,11 +83,6 @@ class CanonResult(NamedTuple):
     generators: tuple[tuple[int, ...], ...]
 
 
-class _Jump(Exception):
-    def __init__(self, depth: int):
-        self.depth = depth
-
-
 def _mask(cell) -> int:
     m = 0
     for v in cell:
@@ -137,6 +132,22 @@ def _leaf(adj, cells, n):
     return bytes(bits), tuple(label), order
 
 
+def _orbit(v: int, generators) -> set[int]:
+    """The orbit of v under the group `generators` generate.  Forward
+    images suffice: each generator has finite order, so its inverse is
+    one of its powers."""
+    orbit = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for gamma in generators:
+            y = gamma[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
 def _validate_cells(n, cells):
     seen = 0
     total = 0
@@ -173,128 +184,69 @@ def canonical_form(g: SimpleGraph, cells=None, _root_cells=None) -> CanonResult:
     work = [c for c in given if c]
     root = _refine(adj, work) if _root_cells is None else _root_cells
 
-    best_code: Optional[bytes] = None
-    best_order: Optional[list[int]] = None
-    best_label = None
-    best_seq: list[int] = []
-    first_code: Optional[bytes] = None
-    first_order: Optional[list[int]] = None
-    first_seq: list[int] = []
+    # (code, order, label, seq) of the first leaf and of the least one
+    first = best = None
     gens: list[tuple[int, ...]] = []
-    uf = list(range(n))
 
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            uf[max(ra, rb)] = min(ra, rb)
-
-    def common_prefix(a: list[int], b: list[int]) -> int:
-        i = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            i += 1
-        return i
-
-    def record(gamma: tuple[int, ...]):
-        if any(gamma[v] != v for v in range(n)):
-            gens.append(gamma)
-            for v in range(n):
-                union(v, gamma[v])
-
-    def handle_leaf(cells, seq):
-        nonlocal best_code, best_order, best_label, best_seq, first_code, first_order, first_seq
+    def leaf(cells, seq):
+        """Record the leaf that individualizing `seq` reaches.  A leaf with
+        the code of the least or of the first leaf gives an automorphism
+        carrying that leaf's branch onto this one, so below the node where
+        the two branches part, the rest of this branch only repeats leaves
+        seen before: that node's depth is returned, to go on there with
+        the next vertex."""
+        nonlocal first, best
         code, label, order = _leaf(adj, cells, n)
-        if first_code is None:
-            first_code, first_order, first_seq = code, order, list(seq)
-            best_code, best_order, best_label, best_seq = code, order, label, list(seq)
-            return
-        jumps = []
-        if code == best_code:
-            gamma = [0] * n
-            for p in range(n):
-                gamma[best_order[p]] = order[p]
-            record(tuple(gamma))
-            jumps.append(common_prefix(best_seq, seq))
-        elif code < best_code:
-            best_code, best_order, best_label, best_seq = code, order, label, list(seq)
-        if code == first_code and first_code != best_code:
-            gamma = [0] * n
-            for p in range(n):
-                gamma[first_order[p]] = order[p]
-            record(tuple(gamma))
-            jumps.append(common_prefix(first_seq, seq))
-        if jumps:
-            raise _Jump(min(jumps))
+        if first is None:
+            first = best = (code, order, label, seq)
+            return None
+        for anchor_code, anchor_order, _, anchor_seq in (best, first):
+            if code == anchor_code:
+                gamma = [0] * n
+                for p in range(n):
+                    gamma[anchor_order[p]] = order[p]
+                gens.append(tuple(gamma))
+                # a leaf ends its branch, so two branches part before either ends
+                depth = 0
+                while anchor_seq[depth] == seq[depth]:
+                    depth += 1
+                return depth
+        if code < best[0]:
+            best = (code, order, label, seq)
+        return None
 
-    def dfs(cells, seq, depth):
-        target = -1
-        tsize = 0
-        for i, cell in enumerate(cells):
-            sz = len(cell)
-            if sz > 1 and (target < 0 or sz < tsize):
-                target, tsize = i, sz
-        if target < 0:
-            handle_leaf(cells, seq)
-            return
+    def dfs(cells, seq):
+        """Search the leaves below `seq`; return the depth to unwind to,
+        or None."""
+        split = [(len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1]
+        if not split:
+            return leaf(cells, seq)
+        target = min(split)[1]
+        cell = cells[target]
+        depth = len(seq)
         explored: list[int] = []
-        for v in sorted(cells[target]):
+        for v in sorted(cell):
             if explored:
-                relevant = [
-                    gm for gm in gens if all(gm[s] == s for s in seq)
-                ]
-                if relevant:
-                    reach = {v}
-                    frontier = [v]
-                    while frontier:
-                        x = frontier.pop()
-                        for gm in relevant:
-                            y = gm[x]
-                            if y not in reach:
-                                reach.add(y)
-                                frontier.append(y)
-                            # inverse direction
-                            z = gm.index(x)
-                            if z not in reach:
-                                reach.add(z)
-                                frontier.append(z)
-                    if any(u in reach for u in explored):
-                        explored.append(v)
-                        continue
-            rest = [u for u in cells[target] if u != v]
+                fixing = [gm for gm in gens if all(gm[s] == s for s in seq)]
+                if not _orbit(v, fixing).isdisjoint(explored):
+                    explored.append(v)
+                    continue
+            rest = [u for u in cell if u != v]
             sub = cells[:target] + [[v], rest] + cells[target + 1 :]
-            sub = _refine(adj, sub, seeds=[[v], rest])
-            try:
-                dfs(sub, seq + [v], depth + 1)
-            except _Jump as jump:
-                if jump.depth != depth:
-                    raise
+            back = dfs(_refine(adj, sub, seeds=[[v], rest]), seq + [v])
+            if back is not None and back < depth:
+                return back
             explored.append(v)
+        return None
 
-    try:
-        dfs(root, [], 0)
-    except _Jump:
-        pass
-
-    reps = {}
-    orbit = [0] * n
+    dfs(root, [])
+    orbits = [-1] * n
     for v in range(n):
-        r = find(v)
-        if r not in reps:
-            reps[r] = v
-        orbit[v] = reps[r]
-
+        if orbits[v] < 0:
+            for u in _orbit(v, gens):
+                orbits[u] = v
     return CanonResult(
-        CanonicalCode(header + best_code),
-        tuple(best_label),
-        tuple(orbit),
-        tuple(gens),
+        CanonicalCode(header + best[0]), best[2], tuple(orbits), tuple(gens)
     )
 
 
@@ -485,9 +437,6 @@ def enumerate_graphs(
     filters such as pattern-freeness qualify), and it must judge two
     children alike when an isomorphism between them fixes z.  A predicate
     that reads vertex labels breaks the second rule and can lose classes.
-    A predicate may tighten over a run, as the floors of the two-color
-    search rise when a leaf beats ex(n, H), if it only ever rejects graphs
-    whose descendants cannot be kept.
 
     The predicate sees every labeled child built, before its canonical
     test, so a child it rejects costs no canonical form.

@@ -226,15 +226,11 @@ def _extend(plans: Sequence[PinPlan], free: bool = False):
     return namespace["search"]
 
 
-def _copy_through(rows: list[int], pattern: BipartitePattern, u: int, v: int,
-                  want_map: bool = False):
-    """Copy of the pattern inside `rows` using edge (u, v); None if absent.
-
-    Returns True/False, or the vertex image (pattern vertex -> host vertex)
-    when want_map is set.
-    """
-    image = pattern.pin_search(rows, u, v)
-    return image if want_map else image is not None
+def _copy_through(rows: list[int], pattern: BipartitePattern, u: int, v: int):
+    """Copy of the pattern inside `rows` using edge (u, v), as the vertex
+    image (pattern vertex -> host vertex); None if absent.  An image is
+    never empty, so its truth says whether a copy exists."""
+    return pattern.pin_search(rows, u, v)
 
 
 def contains_copy(g: SimpleGraph, pattern: BipartitePattern,
@@ -256,7 +252,7 @@ def mono_copy_exists(coloring: EdgeColoring, pattern: BipartitePattern,
                      u: int, v: int) -> bool:
     """Whether some monochromatic pattern copy uses edge (u, v)."""
     c = coloring.color_of(u, v)
-    return bool(_copy_through(coloring.class_adj(c), pattern, u, v))
+    return _copy_through(coloring.class_adj(c), pattern, u, v) is not None
 
 
 @dataclass(frozen=True)
@@ -339,7 +335,7 @@ def _nim_scan(rows: list[int], pattern: BipartitePattern,
     for u, v in edges:
         if (u, v) in witness:
             continue
-        img = _copy_through(rows, pattern, u, v, want_map=True)
+        img = _copy_through(rows, pattern, u, v)
         if img is None:
             nim.append((u, v))
         else:

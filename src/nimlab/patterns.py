@@ -304,21 +304,22 @@ def build_pattern(name: str) -> BipartitePattern:
     raise InvalidInputError("unknown-pattern", name)
 
 
-def _parse_edge(item, n: int) -> tuple[int, int]:
-    if isinstance(item, int):
-        if 0 <= item < 100:
-            return divmod(item, 10)
-        raise InvalidInputError("invalid-pattern", f"bad edge {item!r}")
+def _is_int(value) -> bool:
+    """Plain ints only: a bool or a float is refused rather than read as
+    0, 1 or its truncation."""
+    return type(value) is int
+
+
+def _parse_edge(item) -> tuple[int, int]:
+    if _is_int(item) and 0 <= item < 100:
+        return divmod(item, 10)
     if isinstance(item, str):
         txt = item.replace("-", "").replace(",", "")
-        if len(txt) == 2 and txt.isdigit():
+        if len(txt) == 2 and txt.isascii() and txt.isdigit():
             return int(txt[0]), int(txt[1])
-        raise InvalidInputError("invalid-pattern", f"bad edge {item!r}")
-    try:
-        u, v = (int(x) for x in item)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError("invalid-pattern", f"bad edge {item!r}") from exc
-    return u, v
+    elif isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_int, item)):
+        return item[0], item[1]
+    raise InvalidInputError("invalid-pattern", f"bad edge {item!r}")
 
 
 def parse_pattern(source) -> BipartitePattern:
@@ -354,27 +355,31 @@ def _parse_text(source: str) -> BipartitePattern:
 
 def _parse_descriptor(doc) -> BipartitePattern:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         raw_edges = list(doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError("invalid-pattern", "descriptor needs n and a list of edges") from exc
-    if n < 2:
-        raise InvalidInputError("invalid-pattern", "need at least two vertices")
-    edges = [_parse_edge(e, n) for e in raw_edges]
+    if not _is_int(n) or n < 2:
+        raise InvalidInputError("invalid-pattern", "n must be an integer of at least 2")
+    name = doc.get("name", f"custom{n}")
+    if not isinstance(name, str):
+        raise InvalidInputError("invalid-pattern", "name must be a string")
+    edges = [_parse_edge(e) for e in raw_edges]
     if not edges:
         raise InvalidInputError("invalid-pattern", "pattern needs at least one edge")
     graph = SimpleGraph.from_edges(n, edges)
 
     if "X" in doc or "Y" in doc:
-        try:
-            X = tuple(int(v) for v in doc.get("X", ()))
-            Y = tuple(int(v) for v in doc.get("Y", ()))
-            weak = doc.get("weak")
-            weak = None if weak is None else int(weak)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError("invalid-pattern", "X and Y need vertex lists, weak a vertex") from exc
-        return BipartitePattern(doc.get("name", f"custom{n}"), graph, X, Y, weak, True)
-    return BipartitePattern(doc.get("name", f"custom{n}"), graph, (), (), None, False)
+        X, Y, weak = doc.get("X", ()), doc.get("Y", ()), doc.get("weak")
+        if not (
+            isinstance(X, (list, tuple))
+            and isinstance(Y, (list, tuple))
+            and all(map(_is_int, (*X, *Y)))
+            and (weak is None or _is_int(weak))
+        ):
+            raise InvalidInputError("invalid-pattern", "X and Y need vertex lists, weak a vertex")
+        return BipartitePattern(name, graph, tuple(X), tuple(Y), weak, True)
+    return BipartitePattern(name, graph, (), (), None, False)
 
 
 # ---------------------------------------------------------------------------

@@ -607,9 +607,9 @@ def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord
     cells is no larger: each row taken is at most the one before it.  So
     the value and every extremal class are found.
 
-    The labeled extremal hosts are kept up to 4,096 and deduplicated by a
-    canonical form respecting the parts; the WITNESS_CAP smallest codes
-    are reported, complete when none were dropped.
+    The labeled extremal hosts are deduplicated by a canonical form
+    respecting the parts; the WITNESS_CAP smallest codes are reported,
+    complete when there are no more.
     """
     if m * n > EXSTAR_CELL_BUDGET:
         raise ResourceLimitError(
@@ -618,19 +618,15 @@ def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord
     aligned: dict[tuple, tuple[list[int], dict[int, int]]] = {}
     best = -1
     wits: list[list[int]] = []
-    overflow = False
     rows = [0] * m
 
     def place(i: int, cur: int, prev: int, cells: tuple):
-        nonlocal best, wits, overflow
+        nonlocal best, wits
         if i == m:
             if cur > best:
-                best, wits, overflow = cur, [rows[:]], False
+                best, wits = cur, [rows[:]]
             elif cur == best:
-                if len(wits) < 4096:
-                    wits.append(rows[:])
-                else:
-                    overflow = True
+                wits.append(rows[:])
             return
         if cells not in aligned:
             masks = _aligned_rows(cells)
@@ -651,7 +647,7 @@ def _exstar_search(m: int, n: int, rp: BipartitePattern, fp: str) -> TuranRecord
     codes = sorted({encode_graph6(g.relabel(list(canonical_form(g, cells=parts).labeling)))
                     for g in (_host_graph(m, n, w) for w in wits)})
     return TuranRecord("exstar", rp.name, fp, n, best, True, "bipartite-dfs",
-                       tuple(codes[:WITNESS_CAP]), not overflow and len(codes) <= WITNESS_CAP,
+                       tuple(codes[:WITNESS_CAP]), len(codes) <= WITNESS_CAP,
                        m=m)
 
 

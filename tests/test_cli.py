@@ -218,6 +218,17 @@ def test_missing_coloring_file_is_invalid_input(capsys, tmp_path):
     '{"n":2,"edges":[[0,1]],"X":[0],"Y":[1],"weak":"a"}',
     '{"n":3,"edges":[[0,1]],"X":5,"Y":[1]}',
     '{"n":3,"edges":[[0,1]],"X":["a"],"Y":[1]}',
+    # no truncation and no bool as a vertex, no text where a number goes
+    '{"n":3,"edges":[[0,1.9]]}',
+    '{"n":3,"edges":[[true,2]]}',
+    '{"n":3,"edges":[true]}',
+    '{"n":3,"edges":[["0","1"]]}',
+    '{"n":2.7,"edges":[[0,1]]}',
+    '{"n":2,"edges":[[0,1]],"X":[1.0],"Y":[0]}',
+    '{"n":2,"edges":[[0,1]],"X":[1],"Y":[0],"weak":true}',
+    '{"n":3,"edges":[[0,1]],"name":5}',
+    # digits that are not ASCII
+    '{"n":3,"edges":["\u00b9\u00b2"]}',
 ])
 def test_malformed_pattern_descriptor_is_invalid_input(capsys, descriptor):
     code, err = run_json(capsys, "ex", "--n", "4", "--pattern", descriptor)

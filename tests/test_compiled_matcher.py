@@ -74,8 +74,8 @@ def test_compiled_copy_through_matches_reference(pattern, host):
     for u, v in g.edges():
         for a, b in ((u, v), (v, u)):
             want = reference_copy_through(g.adj, pattern, a, b)
-            assert _copy_through(g.adj, pattern, a, b, want_map=True) == want
-            assert _copy_through(list(g.adj), pattern, a, b) == (want is not None)
+            assert _copy_through(g.adj, pattern, a, b) == want
+            assert _copy_through(list(g.adj), pattern, a, b) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,7 +128,7 @@ def test_compiled_search_places_what_the_reference_places(name):
             placed = [[0] * pattern.h for _ in plans]
             want = reference_copy_through(g.adj, pattern, u, v, placed)
             rows = _CountingRows(g.adj)
-            assert _copy_through(rows, pattern, u, v, want_map=True) == want
+            assert _copy_through(rows, pattern, u, v) == want
             expect = pinned_reads + sum(
                 _rows_read(plan, counts, 2) for plan, counts in zip(plans, placed))
             assert rows.reads == expect
@@ -153,7 +153,7 @@ def test_deep_patterns_continue_in_helper_functions(name, hosts):
     for g in hosts:
         assert contains_copy(g, pattern) == (reference_contains_copy(g, pattern) is not None)
         for u, v in g.edges():
-            assert (_copy_through(g.adj, pattern, u, v, want_map=True)
+            assert (_copy_through(g.adj, pattern, u, v)
                     == reference_copy_through(g.adj, pattern, u, v))
 
 

@@ -11,6 +11,7 @@ from nimlab.monoscan import (
     EdgeColoring,
     enumerate_mono_copies,
     is_h_free,
+    mono_copy_exists,
     nim_edges,
 )
 from nimlab.patterns import build_pattern
@@ -74,6 +75,19 @@ def test_nim_matches_oracle_small_random():
         for pat in pats:
             rep = nim_edges(col, pat)
             assert list(rep.flags) == oracle_nim_flags(col, pat), (n, k, pat.name)
+
+
+def test_mono_copy_exists_matches_oracle():
+    rng = random.Random(103)
+    pats = [build_pattern(s) for s in ("k3", "c4", "k2,3")]
+    for _ in range(30):
+        n = rng.randrange(2, 8)
+        col = EdgeColoring.random(n, rng.randint(2, 3), seed=rng.randrange(2**32))
+        for pat in pats:
+            flags = oracle_nim_flags(col, pat)
+            for (u, v), nim in zip(edge_pairs(n), flags):
+                assert mono_copy_exists(col, pat, u, v) is (not nim)
+                assert mono_copy_exists(col, pat, v, u) is (not nim)
 
 
 def test_nim_count_and_edges_consistent(c4):

@@ -107,6 +107,13 @@ def test_descriptor_parsing():
         parse_pattern(json.dumps({"n": 3}))
 
 
+def test_descriptor_compact_edge_forms():
+    # an edge may be two digits: the int 12, or a string with "-" or ","
+    p = parse_pattern('{"n": 4, "edges": [12, "0-1", "2,3", "03"]}')
+    assert sorted(p.graph.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert p.name == "custom4"
+
+
 def test_detectors():
     assert detect_star(SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) == 3
     assert detect_star(SimpleGraph.cycle(4)) is None

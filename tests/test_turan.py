@@ -495,6 +495,58 @@ def test_cache_skips_corrupt_lines(tmp_path, c4):
     assert got is not None and got.value == rec.value
 
 
+@pytest.mark.parametrize("forge", ["json list", "list n", "inexact"])
+def test_cache_skips_malformed_records(tmp_path, c4, forge):
+    path = tmp_path / "t.jsonl"
+    rec = ex_exact(6, c4, cache=TuranCache(path))
+    doc = json.loads(path.read_text())
+    if forge == "json list":
+        doc = [doc]
+    elif forge == "list n":
+        doc["n"] = [6]
+    else:
+        doc["exact"] = False
+    path.write_text(json.dumps(doc) + "\n")
+    clear_memo()
+    assert ex_exact(6, c4, cache=TuranCache(path)) == rec
+    # the value was computed again and its record appended
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_cache_roundtrip_exstar(tmp_path, monkeypatch):
+    rp = build_pattern("c6").reduced()
+    cache = TuranCache(tmp_path / "t.jsonl")
+    rec = ex_star_exact(3, 4, rp, cache=cache)
+    assert rec.method == "bipartite-dfs"
+    clear_memo()
+
+    def recompute(*args):
+        raise AssertionError("the cached record was not read back")
+
+    monkeypatch.setattr(nimlab.turan, "_compute_exstar", recompute)
+    assert ex_star_exact(3, 4, rp, cache=TuranCache(cache.path)) == rec
+
+
+# ex*(3, 3) of c6-w is 6.  Each forged host has 6 edges on the parts
+# {0, 1, 2} and {3, 4, 5}: one with an edge inside the first part, one
+# that holds c6-w with its X side in the first part.
+@pytest.mark.parametrize("edges,warning", [
+    ([(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4)], "not bipartite on the stated parts"),
+    ([(0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (2, 5)], "failed verification"),
+])
+def test_cache_rejects_forged_exstar_witness(tmp_path, caplog, edges, warning):
+    rp = build_pattern("c6").reduced()
+    cache = TuranCache(tmp_path / "t.jsonl")
+    forged = encode_graph6(SimpleGraph.from_edges(6, edges))
+    cache.put(TuranRecord("exstar", rp.name, _fingerprint("exstar", rp), 3, 6, True,
+                          "forged", (forged,), True, m=3))
+    with caplog.at_level(logging.WARNING, logger="nimlab.turan"):
+        assert cache.get("exstar", rp, 3, 3) is None
+    assert warning in caplog.text
+    rec = ex_star_exact(3, 3, rp, cache=cache)
+    assert rec.value == 6 and rec.method == "bipartite-dfs"
+
+
 def test_cache_keeps_last_valid_record(tmp_path, c4):
     path = tmp_path / "t.jsonl"
     cache = TuranCache(path)
